@@ -16,9 +16,9 @@
 // per simulated event against a 3-node reference row — the per-event cost
 // of the control plane must stay near-flat as N and K grow.
 //
-// Part L is the LP micro-differential: the partitioning solve posed at the
-// grid's node counts through both simplex backends, reporting dense vs
-// revised agreement (decision-level, deterministic) and per-solve wall.
+// Part L times the partitioning solve posed at the grid's node counts and
+// reports how many instances' optimal solves all passed the optimality
+// certificate (la::CheckKkt; deterministic) next to the per-solve wall.
 //
 // Usage: bench_scaling [key=value ...] [--quick] [--threads=N]
 //        (intervals=80 seed=1 part=ab threads=0)
@@ -39,7 +39,6 @@
 #include "common/config.h"
 #include "common/stats.h"
 #include "core/optimizer.h"
-#include "la/simplex.h"
 #include "net/network.h"
 
 namespace memgoal::bench {
@@ -286,10 +285,8 @@ int Main(int argc, char** argv) {
   }
 
   if (part.find('l') != std::string::npos) {
-    std::printf("\n# Part L: LP micro-differential (dense vs revised)\n");
-    std::printf(
-        "n,trials,mode_agree,max_obj_reldiff,dense_ms_per_solve,"
-        "revised_ms_per_solve,speedup\n");
+    std::printf("\n# Part L: partitioning LP solve time and certificate\n");
+    std::printf("n,trials,certified,ms_per_solve\n");
     const std::vector<size_t> sizes = quick
                                           ? std::vector<size_t>{16u, 64u}
                                           : std::vector<size_t>{16u, 64u, 256u};
@@ -314,47 +311,23 @@ int Main(int argc, char** argv) {
         input.goal_rt = rng.Uniform(0.5, 25.0);
         instances.push_back(std::move(input));
       }
-      int agree = 0;
-      double max_reldiff = 0.0;
-      for (core::OptimizerInput& input : instances) {
-        input.lp_backend = la::LpBackend::kDense;
-        const core::OptimizerOutput dense = core::SolvePartitioning(input);
-        input.lp_backend = la::LpBackend::kRevised;
-        const core::OptimizerOutput revised = core::SolvePartitioning(input);
-        bool same = dense.mode == revised.mode &&
-                    dense.relaxed_rung == revised.relaxed_rung;
-        for (size_t i = 0; same && i < n; ++i) {
-          same = std::floor(dense.allocation[i] / 4096.0) ==
-                 std::floor(revised.allocation[i] / 4096.0);
-        }
-        agree += same ? 1 : 0;
-        const double scale = std::max(1.0, std::fabs(dense.predicted_rt_0));
-        max_reldiff = std::max(
-            max_reldiff,
-            std::fabs(dense.predicted_rt_0 - revised.predicted_rt_0) / scale);
+      int certified = 0;
+      for (const core::OptimizerInput& input : instances) {
+        const core::OptimizerOutput out = core::SolvePartitioning(input);
+        if (out.lp_stats.certificate_failures == 0) ++certified;
       }
-      const auto solve_all = [&](la::LpBackend backend) {
-        for (core::OptimizerInput& input : instances) {
-          input.lp_backend = backend;
+      const double solve_s = MinOfRepsSeconds(quick ? 2 : 3, [&] {
+        for (const core::OptimizerInput& input : instances) {
           const core::OptimizerOutput out = core::SolvePartitioning(input);
           if (out.allocation.empty()) std::abort();  // keep the work live
         }
-      };
-      const double dense_s = MinOfRepsSeconds(
-          quick ? 2 : 3, [&] { solve_all(la::LpBackend::kDense); });
-      const double revised_s = MinOfRepsSeconds(
-          quick ? 2 : 3, [&] { solve_all(la::LpBackend::kRevised); });
-      const double dense_ms = 1e3 * dense_s / kTrials;
-      const double revised_ms = 1e3 * revised_s / kTrials;
-      std::printf("%zu,%d,%d,%.3g,%.4f,%.4f,%.1fx\n", n, kTrials, agree,
-                  max_reldiff, dense_ms, revised_ms,
-                  revised_ms > 0.0 ? dense_ms / revised_ms : 0.0);
+      });
+      std::printf("%zu,%d,%d,%.4f\n", n, kTrials, certified,
+                  1e3 * solve_s / kTrials);
       std::fflush(stdout);
       char metric[64];
-      std::snprintf(metric, sizeof(metric), "lp_mode_agree_n%zu", n);
-      reporter.AddMetric(metric, agree);
-      std::snprintf(metric, sizeof(metric), "lp_obj_reldiff_n%zu", n);
-      reporter.AddMetric(metric, max_reldiff);
+      std::snprintf(metric, sizeof(metric), "lp_certified_n%zu", n);
+      reporter.AddMetric(metric, certified);
     }
   }
   reporter.Finish();

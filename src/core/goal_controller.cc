@@ -272,6 +272,7 @@ void GoalOrientedController::AccumulateLpStats(const LpOutcomeStats& lp) {
   stats_.lp_status_unbounded += lp.unbounded;
   stats_.lp_status_iteration_limit += lp.iteration_limit;
   stats_.lp_relaxed_retries += lp.relaxed_retries;
+  stats_.lp_certificate_failures += lp.certificate_failures;
 }
 
 void GoalOrientedController::PublishMetrics(obs::Registry* registry) {
@@ -304,6 +305,8 @@ void GoalOrientedController::PublishMetrics(obs::Registry* registry) {
       ->Set(stats_.lp_status_iteration_limit);
   registry->GetCounter("ctrl.lp_relaxed_retries")
       ->Set(stats_.lp_relaxed_retries);
+  registry->GetCounter("ctrl.lp_certificate_failures")
+      ->Set(stats_.lp_certificate_failures);
   registry->GetCounter("ctrl.lp_warm_starts")->Set(stats_.lp_warm_starts);
   registry->GetCounter("ctrl.lp_cold_starts")->Set(stats_.lp_cold_starts);
   registry->GetCounter("ctrl.partition_changes_observed")
@@ -737,7 +740,6 @@ sim::Task<void> GoalOrientedController::CoordinatorCheck(
       variance_input.mean_intercept = planes->intercept_k;
       variance_input.goal_rt = goal;
       variance_input.upper_bounds = input.upper_bounds;
-      variance_input.lp_backend = config.lp_backend;
       VarianceOptimizerOutput output =
           SolveVariancePartitioning(variance_input);
       target = std::move(output.allocation);
@@ -757,7 +759,6 @@ sim::Task<void> GoalOrientedController::CoordinatorCheck(
       }
     } else {
       input.planes = std::move(*planes);
-      input.lp_backend = config.lp_backend;
       // Warm-start from the previous interval's basis when one survived
       // (same topology, same epoch). The solver validates it against the
       // re-posed program and silently cold-starts on a mismatch.

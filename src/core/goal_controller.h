@@ -94,6 +94,9 @@ class GoalOrientedController final : public Controller {
     /// infeasible — the LP was never classified).
     uint64_t lp_status_iteration_limit = 0;
     uint64_t lp_relaxed_retries = 0;
+    /// Optimal solves whose optimality certificate failed (la::CheckKkt);
+    /// zero unless the solver returned a non-optimal vertex.
+    uint64_t lp_certificate_failures = 0;
     /// LP runs that offered the previous interval's basis as a warm start
     /// vs. runs posed cold (no basis retained, or it was invalidated by a
     /// topology/epoch change). The solver itself may still silently reject

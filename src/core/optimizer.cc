@@ -19,7 +19,7 @@ la::SimplexResult SolveLp(const OptimizerInput& input, bool equality,
                           double goal_rt, const la::SimplexBasis* warm,
                           LpOutcomeStats* stats) {
   const size_t n = input.upper_bounds.size();
-  la::SimplexSolver solver(n, input.lp_backend);
+  la::SimplexSolver solver(n);
   solver.SetObjective(input.planes.grad_0);
   const double rhs = goal_rt - input.planes.intercept_k;
   if (equality) {
@@ -31,7 +31,7 @@ la::SimplexResult SolveLp(const OptimizerInput& input, bool equality,
     solver.SetUpperBound(i, input.upper_bounds[i]);
   }
   la::SimplexResult result = solver.Solve(warm);
-  CountLpOutcome(result.status, stats);
+  CountLpOutcome(result, stats);
   return result;
 }
 
@@ -93,9 +93,8 @@ OptimizerOutput SolvePartitioning(const OptimizerInput& input) {
   }
 
   // Snap values within relative LP tolerance of a bound exactly onto it,
-  // then clamp. Both backends place optima at the same vertices; the snap
-  // erases their (sub-tolerance) arithmetic differences so the controller's
-  // page rounding downstream sees identical allocations.
+  // then clamp, so sub-tolerance arithmetic residue never reaches the
+  // controller's page rounding downstream.
   for (size_t i = 0; i < n; ++i) {
     const double ub = input.upper_bounds[i];
     const double snap = 1e-9 * std::max(1.0, ub);

@@ -18,12 +18,10 @@ struct OptimizerInput {
   /// Per-node upper bounds U_i = SIZE_i - sum_{l != k} LM_l,i (equation 6),
   /// in bytes.
   la::Vector upper_bounds;
-  /// Which simplex backend solves the LPs.
-  la::LpBackend lp_backend = la::LpBackend::kRevised;
-  /// Optional warm-start basis from the previous control interval's solve
-  /// (revised backend only). Applied to the first (equality) solve; the
-  /// fallback chain re-poses the LP, so later rungs start cold. The solver
-  /// validates the basis and silently cold-starts when it no longer fits.
+  /// Optional warm-start basis from the previous control interval's solve.
+  /// Applied to the first (equality) solve; the fallback chain re-poses the
+  /// LP, so later rungs start cold. The solver validates the basis and
+  /// silently cold-starts when it no longer fits.
   const la::SimplexBasis* warm = nullptr;
 };
 
@@ -58,6 +56,9 @@ struct LpOutcomeStats {
   uint64_t iteration_limit = 0;
   /// Relaxed-goal retries attempted after the inequality LP was infeasible.
   uint64_t relaxed_retries = 0;
+  /// Optimal solves whose optimality certificate (la::CheckKkt) failed.
+  /// The answer is still used; a nonzero count flags a solver defect.
+  uint64_t certificate_failures = 0;
 
   LpOutcomeStats& operator+=(const LpOutcomeStats& other) {
     optimal += other.optimal;
@@ -65,6 +66,7 @@ struct LpOutcomeStats {
     unbounded += other.unbounded;
     iteration_limit += other.iteration_limit;
     relaxed_retries += other.relaxed_retries;
+    certificate_failures += other.certificate_failures;
     return *this;
   }
 };
@@ -89,11 +91,14 @@ inline const char* OptimizerModeName(OptimizerMode mode) {
 /// wins. Beyond +50% the best-effort saturation is more honest.
 inline constexpr double kGoalRelaxationLadder[] = {0.10, 0.25, 0.50};
 
-/// Adds one simplex solve's terminal status to the counters.
-inline void CountLpOutcome(la::SimplexStatus status, LpOutcomeStats* stats) {
-  switch (status) {
+/// Adds one simplex solve's terminal status and certificate outcome to the
+/// counters.
+inline void CountLpOutcome(const la::SimplexResult& result,
+                           LpOutcomeStats* stats) {
+  switch (result.status) {
     case la::SimplexStatus::kOptimal:
       ++stats->optimal;
+      if (!result.certified) ++stats->certificate_failures;
       break;
     case la::SimplexStatus::kInfeasible:
       ++stats->infeasible;
@@ -121,9 +126,8 @@ struct OptimizerOutput {
   int relaxed_rung = -1;
   /// Simplex outcome counts of this solve's fallback chain.
   LpOutcomeStats lp_stats;
-  /// Final basis of the solve that produced `allocation` (revised backend
-  /// only; empty otherwise). Feed back as `OptimizerInput::warm` next
-  /// interval.
+  /// Final basis of the solve that produced `allocation` (empty when none
+  /// did). Feed back as `OptimizerInput::warm` next interval.
   la::SimplexBasis basis;
 };
 

@@ -7,7 +7,6 @@
 
 #include "common/config.h"
 #include "sim/chaos_schedule.h"
-#include "sim/event_queue.h"
 
 namespace memgoal::core {
 namespace {
@@ -66,24 +65,6 @@ std::optional<Scenario> LoadScenario(common::Config& config,
       config.GetString("objective", "nogoal") == "variance"
           ? PartitioningObjective::kMinimizeNodeVariance
           : PartitioningObjective::kMinimizeNoGoalRt;
-  const std::string queue = config.GetString("queue", "calendar");
-  if (queue == "heap") {
-    system_config.queue_backend = sim::QueueBackend::kLegacyHeap;
-  } else if (queue == "calendar") {
-    system_config.queue_backend = sim::QueueBackend::kCalendar;
-  } else {
-    if (error) *error = BadEnumValue("queue", queue, {"calendar", "heap"});
-    return std::nullopt;
-  }
-  const std::string lp = config.GetString("lp", "revised");
-  if (lp == "revised") {
-    system_config.lp_backend = la::LpBackend::kRevised;
-  } else if (lp == "dense") {
-    system_config.lp_backend = la::LpBackend::kDense;
-  } else {
-    if (error) *error = BadEnumValue("lp", lp, {"revised", "dense"});
-    return std::nullopt;
-  }
   system_config.hint_fanout_budget =
       static_cast<uint32_t>(config.GetInt("hint_budget", 0));
   system_config.disk.avg_seek_ms = config.GetDouble("disk_seek_ms", 8.0);

@@ -14,8 +14,8 @@ namespace memgoal::core {
 /// A fully resolved scenario: everything needed to construct and run a
 /// ClusterSystem, decoupled from where the key=value text came from (a
 /// .conf file, argv overrides, or a test-supplied string). The CLI runner
-/// and the differential test harness both build runs through this struct,
-/// so a scenario file exercises the exact model configuration in both.
+/// and the golden-digest tests both build runs through this struct, so a
+/// scenario file exercises the exact model configuration in both.
 struct Scenario {
   SystemConfig system;
   std::vector<workload::ClassSpec> classes;
@@ -28,11 +28,10 @@ struct Scenario {
 };
 
 /// Builds a Scenario from parsed key=value config. Reads every model key
-/// (listed in tools/memgoal_sim.cc's header comment) including the
-/// `queue` key (calendar | heap) selecting the event-queue backend, so a
-/// caller may follow up with Config::RejectUnknownFlags. Observability
-/// output paths (trace_out, decision_log, ...) are CLI concerns and are
-/// not read here. Returns std::nullopt and sets *error on invalid input.
+/// (listed in tools/memgoal_sim.cc's header comment), so a caller may
+/// follow up with Config::RejectUnknownFlags. Observability output paths
+/// (trace_out, decision_log, ...) are CLI concerns and are not read here.
+/// Returns std::nullopt and sets *error on invalid input.
 std::optional<Scenario> LoadScenario(common::Config& config,
                                      std::string* error);
 

@@ -14,7 +14,7 @@ namespace {
 la::SimplexResult SolveLp(const VarianceOptimizerInput& input, bool equality,
                           double goal_rt, LpOutcomeStats* stats) {
   const size_t n = input.upper_bounds.size();
-  la::SimplexSolver solver(2 * n, input.lp_backend);
+  la::SimplexSolver solver(2 * n);
 
   la::Vector objective(2 * n, 0.0);
   for (size_t i = 0; i < n; ++i) objective[n + i] = 1.0;
@@ -56,7 +56,7 @@ la::SimplexResult SolveLp(const VarianceOptimizerInput& input, bool equality,
     solver.SetUpperBound(j, input.upper_bounds[j]);
   }
   la::SimplexResult result = solver.Solve();
-  CountLpOutcome(result.status, stats);
+  CountLpOutcome(result, stats);
   return result;
 }
 
@@ -109,8 +109,8 @@ VarianceOptimizerOutput SolveVariancePartitioning(
     output.allocation = input.upper_bounds;
   }
   // Snap-to-bound within relative LP tolerance, then clamp — same
-  // normalization as SolvePartitioning so both backends agree bit-for-bit
-  // after the controller's page rounding.
+  // normalization as SolvePartitioning, so sub-tolerance residue never
+  // reaches the controller's page rounding.
   for (size_t i = 0; i < n; ++i) {
     const double ub = input.upper_bounds[i];
     const double snap = 1e-9 * std::max(1.0, ub);

@@ -23,8 +23,6 @@ struct VarianceOptimizerInput {
   double goal_rt = 0.0;
   /// Per-node capacity bounds (bytes), equation 6.
   la::Vector upper_bounds;
-  /// Which simplex backend solves the LPs.
-  la::LpBackend lp_backend = la::LpBackend::kRevised;
 };
 
 struct VarianceOptimizerOutput {

@@ -15,11 +15,14 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr size_t kNpos = std::numeric_limits<size_t>::max();
 /// Base tolerance; every test scales it by the magnitudes involved.
 constexpr double kEps = 1e-9;
-/// Pricing-only tolerance (see the dense solver's kPriceEps for the full
-/// rationale): reduced costs inherit the objective's scale, which in the
-/// partitioning LP is 1e-7-gradients against megabyte variable ranges, so
-/// the kEps-scaled test writes off vertices that are ~1e-3 better in the
-/// objective. Pivot admission and ratio tests keep kEps/kPivotTol.
+/// Pricing-only tolerance, three orders tighter than kEps. A reduced cost
+/// is "worth it" when |d| times the entering variable's range moves the
+/// objective, and the partitioning LP pairs 1e-7-scale cost gradients with
+/// megabyte-scale variable ranges: a 5e-10 reduced cost a kEps test would
+/// dismiss as converged is a real ~1e-3 objective improvement (CheckKkt
+/// rejects exactly that vertex). Pivot admission and ratio tests keep
+/// kEps/kPivotTol — accepting a noise-scale pivot element is dangerous,
+/// skipping a noise-scale reduced cost is not.
 constexpr double kPriceEps = 1e-12;
 /// Minimum pivot magnitude relative to the FTRANned column's norm.
 constexpr double kPivotTol = 1e-10;
@@ -134,13 +137,13 @@ class RevisedSimplex {
 
     // Sparsify the structural columns, folding kGe rows into kLe form
     // (negated row and rhs) so every slack has bounds [0, inf) or [0, 0].
-    std::vector<double> row_flip(m_, 1.0);
+    row_flip_.assign(m_, 1.0);
     rhs_.resize(m_);
     slack_upper_.resize(m_);
     for (size_t i = 0; i < m_; ++i) {
       const bool ge = lp.relations[i] == RevisedLp::Relation::kGe;
-      row_flip[i] = ge ? -1.0 : 1.0;
-      rhs_[i] = row_flip[i] * lp.rhs[i];
+      row_flip_[i] = ge ? -1.0 : 1.0;
+      rhs_[i] = row_flip_[i] * lp.rhs[i];
       slack_upper_[i] =
           lp.relations[i] == RevisedLp::Relation::kEq ? 0.0 : kInf;
     }
@@ -148,7 +151,7 @@ class RevisedSimplex {
     cols_val_.resize(n_);
     for (size_t j = 0; j < n_; ++j) {
       for (size_t i = 0; i < m_; ++i) {
-        const double v = row_flip[i] * lp.rows[i][j];
+        const double v = row_flip_[i] * lp.rows[i][j];
         if (v != 0.0) {
           cols_idx_[j].push_back(static_cast<uint32_t>(i));
           cols_val_[j].push_back(v);
@@ -249,6 +252,10 @@ class RevisedSimplex {
     result.status = SimplexStatus::kOptimal;
     result.x.assign(x_.begin(), x_.begin() + static_cast<ptrdiff_t>(n_));
     result.objective = Objective(result.x);
+    // Duals of the final basis, mapped back from the internal form (costs
+    // negated for max, kGe rows negated) to the caller's rows.
+    result.duals = BtranCosts();
+    for (size_t i = 0; i < m_; ++i) result.duals[i] *= sign_ * row_flip_[i];
     // Export the basis unless a (zero-valued) artificial still occupies it.
     bool exportable = true;
     for (size_t p = 0; p < m_; ++p) {
@@ -555,6 +562,8 @@ class RevisedSimplex {
   size_t m_ = 0;
   double sign_ = 1.0;
   double bscale_ = 1.0;
+  /// -1 for kGe rows (stored negated, in kLe form), +1 otherwise.
+  Vector row_flip_;
   std::vector<std::vector<uint32_t>> cols_idx_;
   std::vector<std::vector<double>> cols_val_;
   Vector rhs_;

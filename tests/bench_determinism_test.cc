@@ -5,19 +5,18 @@
 // bench/trial_runner.h; a failure here means some shared mutable state or
 // order-dependent seeding crept back into the trial path.
 //
-// The QueueBackendDifferential suite extends the same idea across event-core
-// implementations: every scenario file under tools/scenarios/ and a set of
-// chaos-fuzz schedules replayed through the calendar queue and the legacy
-// binary heap must produce byte-identical metrics CSV and controller
-// decision logs. The two backends share nothing but the (time, seq)
-// ordering contract, so agreement here pins the whole simulation — clock
-// advancement, RNG draw order, controller decisions — to that contract.
+// The GoldenDigest suite extends the same idea across commits: every
+// scenario file under tools/scenarios/ and a set of fault, chaos and
+// observability configurations must reproduce pinned digests of their
+// metrics CSV and controller decision logs, so any change in simulated
+// behaviour shows up as a reviewed re-pin.
 
 #include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -31,6 +30,7 @@
 #include "bench/trial_runner.h"
 #include "common/config.h"
 #include "common/rng.h"
+#include "core/goal_controller.h"
 #include "core/metrics.h"
 #include "core/scenario.h"
 #include "core/system.h"
@@ -54,18 +54,24 @@ ExperimentSetup SmallSetup(uint64_t seed) {
   return setup;
 }
 
+// The bytes `write` emits to a FILE*.
+template <typename WriteFn>
+std::string Capture(WriteFn&& write) {
+  char* buf = nullptr;
+  size_t size = 0;
+  std::FILE* stream = open_memstream(&buf, &size);
+  write(stream);
+  std::fclose(stream);
+  std::string bytes(buf, size);
+  std::free(buf);
+  return bytes;
+}
+
 // Renders a run's full interval log as CSV, the same bytes
 // `tools/memgoal_sim` would emit. Comparing the serialized form catches any
 // divergence in any field of any record.
 std::string CsvOf(const core::MetricsLog& log) {
-  char* buf = nullptr;
-  size_t size = 0;
-  std::FILE* stream = open_memstream(&buf, &size);
-  log.WriteCsv(stream);
-  std::fclose(stream);
-  std::string csv(buf, size);
-  std::free(buf);
-  return csv;
+  return Capture([&](std::FILE* f) { log.WriteCsv(f); });
 }
 
 // One complete simulation trial -> its interval CSV.
@@ -193,242 +199,268 @@ TEST(DeterminismTest, MeasureConvergenceDefaultsToInlineRunner) {
   EXPECT_EQ(Bits(inline_result.goal_hi), Bits(runner_result.goal_hi));
 }
 
-// ---------------------------------------------------------------------------
-// Calendar-queue vs legacy-heap differential replay.
 
-// One full scenario run on the given backend, reduced to its observable
-// outputs: the interval metrics CSV and the controller decision log (every
-// coordinator check, serialized). `text` is scenario key=value text; later
-// lines override earlier ones, so callers append test-sized overrides.
-struct BackendRun {
+// ---------------------------------------------------------------------------
+// Golden digests of whole-scenario runs.
+//
+// Each case below is a complete cluster run reduced to its observable
+// outputs — event count, interval metrics CSV, controller decision log and
+// (when tracked) attainment JSONL — and pinned by FNV-1a digest. The cases
+// cover every checked-in scenario file, generated chaos schedules (also
+// through their repro-file text form), burst loss with the auditor, active
+// corruption with scrubbing, the corruption machinery at rate zero, and
+// enabled attainment tracking. Any change in simulated behaviour — event
+// order, RNG draw order, a controller decision, one LP answer — changes a
+// digest. On a mismatch the test prints the recomputed table; an intended
+// change is then a reviewed re-pin of the affected rows.
+
+struct RunOutputs {
+  uint64_t events = 0;
   std::string metrics_csv;
   std::string decision_jsonl;
-  uint64_t events = 0;
+  std::string attainment_jsonl;
 };
 
-std::optional<BackendRun> RunScenarioText(
-    const std::string& text, sim::QueueBackend backend,
-    obs::AttainmentTracker* attainment = nullptr) {
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t hash = 0xCBF29CE484222325ull;
+  for (const unsigned char c : bytes) {
+    hash ^= c;
+    hash *= 0x100000001B3ull;
+  }
+  return hash;
+}
+
+// The optimality certificate must hold for every LP the controller solved.
+void ExpectLpCertified(core::ClusterSystem& system, const std::string& what) {
+  const auto* controller =
+      dynamic_cast<const core::GoalOrientedController*>(&system.controller());
+  ASSERT_NE(controller, nullptr) << what;
+  EXPECT_EQ(controller->stats().lp_certificate_failures, 0u) << what;
+}
+
+struct GoldenCase {
+  std::string name;
+  /// Scenario key=value text; later lines override earlier ones.
+  std::string text;
+  /// Fault schedule applied after loading, as chaos_fuzz replays a repro.
+  std::optional<sim::chaos::Schedule> schedule;
+  bool track_attainment = false;
+};
+
+std::optional<RunOutputs> RunCase(const GoldenCase& c) {
   common::Config config;
-  if (!config.ParseText(text)) {
-    ADD_FAILURE() << "bad scenario text: " << config.error();
+  if (!config.ParseText(c.text)) {
+    ADD_FAILURE() << c.name << ": bad scenario text: " << config.error();
     return std::nullopt;
   }
   std::string error;
   std::optional<core::Scenario> scenario = core::LoadScenario(config, &error);
   if (!scenario.has_value()) {
-    ADD_FAILURE() << "LoadScenario: " << error;
+    ADD_FAILURE() << c.name << ": LoadScenario: " << error;
     return std::nullopt;
   }
-  scenario->system.queue_backend = backend;
+  if (c.schedule.has_value()) {
+    sim::chaos::ApplyToFaultParams(*c.schedule, &scenario->system.faults);
+  }
   core::ClusterSystem system(scenario->system);
   for (const workload::ClassSpec& spec : scenario->classes) {
     system.AddClass(spec);
   }
   obs::DecisionLog decision_log;
   system.SetDecisionLog(&decision_log);
-  if (attainment != nullptr) system.SetAttainment(attainment);
+  obs::AttainmentTracker tracker;
+  if (c.track_attainment) {
+    tracker.Enable(true);
+    system.SetAttainment(&tracker);
+  }
   sim::InvariantAuditor auditor;
   if (scenario->audit) system.EnableAuditor(&auditor);
   system.Start();
   system.RunIntervals(scenario->intervals);
-  EXPECT_TRUE(!scenario->audit || auditor.ok());
+  EXPECT_TRUE(!scenario->audit || auditor.ok()) << c.name;
+  ExpectLpCertified(system, c.name);
 
-  BackendRun run;
-  run.metrics_csv = CsvOf(system.metrics());
-  char* buf = nullptr;
-  size_t size = 0;
-  std::FILE* stream = open_memstream(&buf, &size);
-  decision_log.WriteJsonl(stream);
-  std::fclose(stream);
-  run.decision_jsonl.assign(buf, size);
-  std::free(buf);
-  run.events = system.simulator().events_processed();
-  return run;
+  RunOutputs out;
+  out.events = system.simulator().events_processed();
+  out.metrics_csv = CsvOf(system.metrics());
+  out.decision_jsonl =
+      Capture([&](std::FILE* f) { decision_log.WriteJsonl(f); });
+  if (c.track_attainment) {
+    EXPECT_GT(tracker.requests_recorded(), 0u) << c.name;
+    EXPECT_LE(tracker.max_sum_error(), 1e-9) << c.name;
+    out.attainment_jsonl =
+        Capture([&](std::FILE* f) { tracker.WriteJsonl(f); });
+  }
+  return out;
 }
 
-// Runs `text` on both backends and asserts byte-identical outputs.
-void ExpectBackendsAgree(const std::string& text, const std::string& what) {
-  const std::optional<BackendRun> calendar =
-      RunScenarioText(text, sim::QueueBackend::kCalendar);
-  const std::optional<BackendRun> heap =
-      RunScenarioText(text, sim::QueueBackend::kLegacyHeap);
-  ASSERT_TRUE(calendar.has_value() && heap.has_value()) << what;
-  EXPECT_GT(calendar->events, 0u) << what;
-  EXPECT_EQ(calendar->events, heap->events) << what;
-  EXPECT_EQ(calendar->metrics_csv, heap->metrics_csv) << what;
-  EXPECT_FALSE(calendar->decision_jsonl.empty()) << what;
-  EXPECT_EQ(calendar->decision_jsonl, heap->decision_jsonl) << what;
-}
-
-TEST(QueueBackendDifferential, ScenarioFilesReplayIdentically) {
-  // Every checked-in scenario file, cut down to a test-sized horizon. The
-  // files cover the interesting configuration space: multiclass goals,
-  // stochastic crash faults, gray degradation, burst loss, partitions.
-  const std::vector<std::string> scenarios = {
-      "base.conf", "corrupt.conf", "faults.conf", "gray.conf",
-      "oltp_dss.conf", "partition.conf"};
-  for (const std::string& name : scenarios) {
+std::vector<GoldenCase> GoldenCases() {
+  std::vector<GoldenCase> cases;
+  // Every checked-in scenario file, cut to a test-sized horizon: multiclass
+  // goals, crash faults, gray degradation, burst loss, partitions,
+  // corruption.
+  for (const char* name : {"base.conf", "corrupt.conf", "faults.conf",
+                           "gray.conf", "oltp_dss.conf", "partition.conf"}) {
     const std::string path = std::string(MEMGOAL_SCENARIO_DIR "/") + name;
     std::ifstream file(path);
-    ASSERT_TRUE(file.is_open()) << path;
+    EXPECT_TRUE(file.is_open()) << path;
     std::ostringstream buffer;
     buffer << file.rdbuf();
-    ExpectBackendsAgree(buffer.str() + "\nintervals=6\n", name);
+    cases.push_back({name, buffer.str() + "\nintervals=6\n", {}, false});
   }
-}
-
-TEST(QueueBackendDifferential, ChaosSchedulesReplayIdentically) {
-  // Chaos-fuzz repro configuration: a generated fault schedule (crashes x
-  // gray episodes x partitions) overlaid on a small multiclass cluster,
-  // exactly what tools/chaos_fuzz replays from a repro file's seed. Three
-  // seeds; each must agree across backends through every fault event.
+  // Chaos-fuzz configurations: a generated schedule of crashes, gray
+  // episodes and partitions over a small multiclass cluster.
+  const std::string chaos_base =
+      "nodes=4\ndb_pages=800\ncache_bytes=262144\n"
+      "interval_ms=2000\nintervals=8\nseed=5\n"
+      "classes=2\nclass1_goal_ms=60\n";
   for (const uint64_t chaos_seed : {11ull, 4242ull, 987654321ull}) {
-    std::ostringstream text;
-    text << "nodes=4\ndb_pages=800\ncache_bytes=262144\n"
-            "interval_ms=2000\nintervals=8\nseed=5\n"
-            "classes=2\nclass1_goal_ms=60\n"
-            "class0_interarrival_ms=40\nclass1_interarrival_ms=40\n"
-            "chaos_seed=" << chaos_seed << "\n";
-    ExpectBackendsAgree(text.str(),
-                        "chaos_seed=" + std::to_string(chaos_seed));
+    cases.push_back({"chaos_seed=" + std::to_string(chaos_seed),
+                     chaos_base +
+                         "class0_interarrival_ms=40\n"
+                         "class1_interarrival_ms=40\n"
+                         "chaos_seed=" + std::to_string(chaos_seed) + "\n",
+                     {}, false});
   }
-}
-
-TEST(QueueBackendDifferential, ReproFileRoundTripReplaysIdentically) {
-  // The chaos_fuzz repro-file path, end to end: a generated schedule is
-  // serialized with ToText (the repro file format), parsed back with
-  // FromText, applied to the fault params, and the resulting run must
-  // agree across backends. Distinct from ChaosSchedulesReplayIdentically
-  // in that the schedule passes through its on-disk representation.
+  // The repro-file path: a generated schedule serialized with ToText and
+  // parsed back with FromText before it is applied.
   sim::chaos::GenerateLimits limits;
   limits.num_nodes = 4;
   limits.horizon_ms = 8 * 2000.0;
-  const sim::chaos::Schedule generated = sim::chaos::Generate(777u, limits);
   sim::chaos::Schedule replayed;
-  ASSERT_TRUE(sim::chaos::FromText(sim::chaos::ToText(generated), &replayed));
+  EXPECT_TRUE(sim::chaos::FromText(
+      sim::chaos::ToText(sim::chaos::Generate(777u, limits)), &replayed));
+  cases.push_back({"repro-file-777", chaos_base, replayed, false});
+  // Burst-loss retransmission timers give the densest same-timestamp
+  // collisions; the auditor adds interval-boundary sweeps.
+  cases.push_back({"burst-loss+audit",
+                   "nodes=3\ndb_pages=600\ncache_bytes=262144\n"
+                   "interval_ms=2000\nintervals=6\nseed=3\n"
+                   "net_loss_model=burst\nnet_burst_g2b=0.01\n"
+                   "net_burst_b2g=0.3\nnet_loss=0.02\naudit=1\n"
+                   "classes=2\nclass1_goal_ms=80\n",
+                   {}, false});
+  const std::string mixed =
+      chaos_base +
+      "class0_interarrival_ms=40\nclass1_interarrival_ms=40\n";
+  // Active corruption: a scripted multi-strike episode plus the MTTC
+  // process, with the idle-bandwidth scrubber running.
+  cases.push_back({"corruption+scrub",
+                   mixed +
+                       "corrupt=all\ncorrupt_latent=0.25\nfault_mttc_ms=4000\n"
+                       "corrupt_node=1\ncorrupt_at_ms=1500\ncorrupt_count=3\n"
+                       "corrupt_salt=9\nscrub=idle\nscrub_interval_ms=500\n"
+                       "audit=1\n",
+                   {}, false});
+  // Crash faults without and with the corruption keys at rate zero, and
+  // with attainment tracking enabled: the invariance checks in the test
+  // compare these three.
+  const std::string crashes =
+      mixed + "fault_mttf_ms=30000\nfault_mttr_ms=5000\n";
+  cases.push_back({"crashes", crashes, {}, false});
+  cases.push_back({"crashes+zero-rate-corruption",
+                   crashes + "corrupt=all\ncorrupt_latent=0.25\n", {}, false});
+  cases.push_back({"crashes+attainment", crashes, {}, true});
+  return cases;
+}
 
-  auto run = [&](sim::QueueBackend backend) {
-    common::Config config;
-    EXPECT_TRUE(config.ParseText(
-        "nodes=4\ndb_pages=800\ncache_bytes=262144\n"
-        "interval_ms=2000\nintervals=8\nseed=5\n"
-        "classes=2\nclass1_goal_ms=60\n"));
-    std::string error;
-    std::optional<core::Scenario> scenario =
-        core::LoadScenario(config, &error);
-    EXPECT_TRUE(scenario.has_value()) << error;
-    sim::chaos::ApplyToFaultParams(replayed, &scenario->system.faults);
-    scenario->system.queue_backend = backend;
-    core::ClusterSystem system(scenario->system);
-    for (const workload::ClassSpec& spec : scenario->classes) {
-      system.AddClass(spec);
+struct GoldenDigests {
+  const char* name;
+  uint64_t events;
+  uint64_t metrics_csv;
+  uint64_t decision_jsonl;
+  /// 0 when the case does not track attainment.
+  uint64_t attainment_jsonl;
+};
+
+// Recorded before the event queue and the LP solver were reduced to one
+// implementation each, where the calendar queue and the binary heap, and
+// the revised and dense simplex, still produced these bytes identically.
+constexpr GoldenDigests kGolden[] = {
+    {"base.conf", 167669u, 0x154120DC3F5A3C48ull, 0x8273710A041BFB3Eull,
+     0x0000000000000000ull},
+    {"corrupt.conf", 168377u, 0x375FE475E817FB57ull, 0xF52C3324E61F425Eull,
+     0x0000000000000000ull},
+    {"faults.conf", 168317u, 0x567381C4B0A21547ull, 0xF2CAB393807069D8ull,
+     0x0000000000000000ull},
+    {"gray.conf", 167669u, 0x154120DC3F5A3C48ull, 0x8273710A041BFB3Eull,
+     0x0000000000000000ull},
+    {"oltp_dss.conf", 99551u, 0x80AA29E818BFD46Full, 0x93A6866F0F2CC5AEull,
+     0x0000000000000000ull},
+    {"partition.conf", 167669u, 0x154120DC3F5A3C48ull, 0x8273710A041BFB3Eull,
+     0x0000000000000000ull},
+    {"chaos_seed=11", 68230u, 0xBEB58FF65C76FBDBull, 0x2000BEB85B4458F7ull,
+     0x0000000000000000ull},
+    {"chaos_seed=4242", 78289u, 0x7FA7322535339397ull, 0x92CF6CDA046EB51Cull,
+     0x0000000000000000ull},
+    {"chaos_seed=987654321", 77163u, 0xC7C6A462DD852343ull, 0x50769F5CD6F8DDFCull,
+     0x0000000000000000ull},
+    {"repro-file-777", 41675u, 0xAC276CCCD50EBFAFull, 0xC7AA9588845B9E7Bull,
+     0x0000000000000000ull},
+    {"burst-loss+audit", 24489u, 0x9C0BF2841ED14ECFull, 0xA45B0752EB4E634Bull,
+     0x0000000000000000ull},
+    {"corruption+scrub", 95179u, 0x4F2813A6650F4D29ull, 0xF9373305E76AB8C8ull,
+     0x0000000000000000ull},
+    {"crashes", 88822u, 0x9CE540EC09B15C78ull, 0x0A80A04406BE58D2ull,
+     0x0000000000000000ull},
+    {"crashes+zero-rate-corruption", 88822u, 0x9CE540EC09B15C78ull, 0x0A80A04406BE58D2ull,
+     0x0000000000000000ull},
+    {"crashes+attainment", 88822u, 0x9CE540EC09B15C78ull, 0x02DB7D9E55335C60ull,
+     0x0125739A0C539EFEull},
+};
+
+TEST(GoldenDigest, EveryCaseReplaysItsPinnedOutputs) {
+  std::map<std::string, RunOutputs> runs;
+  std::ostringstream table;
+  bool mismatch = false;
+  for (const GoldenCase& c : GoldenCases()) {
+    const std::optional<RunOutputs> out = RunCase(c);
+    ASSERT_TRUE(out.has_value()) << c.name;
+    EXPECT_GT(out->events, 0u) << c.name;
+    EXPECT_FALSE(out->decision_jsonl.empty()) << c.name;
+    const GoldenDigests got = {
+        c.name.c_str(), out->events, Fnv1a(out->metrics_csv),
+        Fnv1a(out->decision_jsonl),
+        c.track_attainment ? Fnv1a(out->attainment_jsonl) : 0};
+    char line[192];
+    std::snprintf(line, sizeof(line),
+                  "    {\"%s\", %lluu, 0x%016llXull, 0x%016llXull,\n"
+                  "     0x%016llXull},\n",
+                  got.name, static_cast<unsigned long long>(got.events),
+                  static_cast<unsigned long long>(got.metrics_csv),
+                  static_cast<unsigned long long>(got.decision_jsonl),
+                  static_cast<unsigned long long>(got.attainment_jsonl));
+    table << line;
+    const GoldenDigests* pinned = nullptr;
+    for (const GoldenDigests& g : kGolden) {
+      if (c.name == g.name) pinned = &g;
     }
-    system.Start();
-    system.RunIntervals(scenario->intervals);
-    return CsvOf(system.metrics());
-  };
-  const std::string calendar = run(sim::QueueBackend::kCalendar);
-  EXPECT_FALSE(calendar.empty());
-  EXPECT_EQ(calendar, run(sim::QueueBackend::kLegacyHeap));
-}
-
-TEST(QueueBackendDifferential, LossyNetworkAndAuditReplayIdentically) {
-  // Burst-loss retransmission timers produce the densest same-timestamp
-  // event collisions (timeout + arrival races); the invariant auditor adds
-  // interval-boundary sweeps. Both must not disturb cross-backend
-  // agreement.
-  ExpectBackendsAgree(
-      "nodes=3\ndb_pages=600\ncache_bytes=262144\n"
-      "interval_ms=2000\nintervals=6\nseed=3\n"
-      "net_loss_model=burst\nnet_burst_g2b=0.01\nnet_burst_b2g=0.3\n"
-      "net_loss=0.02\naudit=1\n"
-      "classes=2\nclass1_goal_ms=80\n",
-      "burst-loss+audit");
-}
-
-TEST(QueueBackendDifferential, ZeroRateCorruptionMachineryIsBitExact) {
-  // The integrity machinery at rate zero must be invisible: enabling the
-  // corruption keys without any corruption source (no MTTC process, no
-  // scripted strike, scrub off) makes no RNG draw and schedules no event,
-  // so the metrics CSV and decision log are byte-identical to a run that
-  // never heard of corruption — on both queue backends.
-  const std::string base =
-      "nodes=4\ndb_pages=800\ncache_bytes=262144\n"
-      "interval_ms=2000\nintervals=8\nseed=5\n"
-      "classes=2\nclass1_goal_ms=60\n"
-      "class0_interarrival_ms=40\nclass1_interarrival_ms=40\n"
-      "fault_mttf_ms=30000\nfault_mttr_ms=5000\n";
-  const std::string with_keys = base + "corrupt=all\ncorrupt_latent=0.25\n";
-  for (const sim::QueueBackend backend :
-       {sim::QueueBackend::kCalendar, sim::QueueBackend::kLegacyHeap}) {
-    const std::optional<BackendRun> off = RunScenarioText(base, backend);
-    const std::optional<BackendRun> on = RunScenarioText(with_keys, backend);
-    ASSERT_TRUE(off.has_value() && on.has_value());
-    EXPECT_GT(off->events, 0u);
-    EXPECT_EQ(off->events, on->events);
-    EXPECT_EQ(off->metrics_csv, on->metrics_csv);
-    EXPECT_EQ(off->decision_jsonl, on->decision_jsonl);
+    if (pinned == nullptr || pinned->events != got.events ||
+        pinned->metrics_csv != got.metrics_csv ||
+        pinned->decision_jsonl != got.decision_jsonl ||
+        pinned->attainment_jsonl != got.attainment_jsonl) {
+      ADD_FAILURE() << c.name << ": outputs differ from the pinned digests";
+      mismatch = true;
+    }
+    runs.emplace(c.name, std::move(*out));
   }
-}
-
-TEST(QueueBackendDifferential, EnabledAttainmentTrackingIsBitExact) {
-  // The attainment tracker is a pure observer: with tracking ENABLED the
-  // simulation itself (event count, metrics CSV) must be byte-identical to
-  // a bare run, and the tracker's own outputs — budget rows, miss cards,
-  // and the decision log they annotate — must be byte-identical across the
-  // two queue backends. (Bare vs tracked decision logs are not compared:
-  // the tracked run legitimately adds miss-card fields to its records.)
-  const std::string text =
-      "nodes=4\ndb_pages=800\ncache_bytes=262144\n"
-      "interval_ms=2000\nintervals=8\nseed=5\n"
-      "classes=2\nclass1_goal_ms=60\n"
-      "class0_interarrival_ms=40\nclass1_interarrival_ms=40\n"
-      "fault_mttf_ms=30000\nfault_mttr_ms=5000\n";
-  std::vector<std::string> attainment_jsonl;
-  std::vector<std::string> decision_jsonl;
-  for (const sim::QueueBackend backend :
-       {sim::QueueBackend::kCalendar, sim::QueueBackend::kLegacyHeap}) {
-    const std::optional<BackendRun> bare = RunScenarioText(text, backend);
-    obs::AttainmentTracker tracker;
-    tracker.Enable(true);
-    const std::optional<BackendRun> tracked =
-        RunScenarioText(text, backend, &tracker);
-    ASSERT_TRUE(bare.has_value() && tracked.has_value());
-    EXPECT_GT(bare->events, 0u);
-    EXPECT_EQ(bare->events, tracked->events);
-    EXPECT_EQ(bare->metrics_csv, tracked->metrics_csv);
-    EXPECT_GT(tracker.requests_recorded(), 0u);
-    EXPECT_LE(tracker.max_sum_error(), 1e-9);
-
-    char* buf = nullptr;
-    size_t size = 0;
-    std::FILE* stream = open_memstream(&buf, &size);
-    tracker.WriteJsonl(stream);
-    std::fclose(stream);
-    attainment_jsonl.emplace_back(buf, size);
-    std::free(buf);
-    decision_jsonl.push_back(tracked->decision_jsonl);
+  if (mismatch) {
+    ADD_FAILURE() << "recomputed digest table:\n" << table.str();
   }
-  EXPECT_FALSE(attainment_jsonl[0].empty());
-  EXPECT_EQ(attainment_jsonl[0], attainment_jsonl[1]);
-  EXPECT_EQ(decision_jsonl[0], decision_jsonl[1]);
-}
 
-TEST(QueueBackendDifferential, CorruptionAndScrubReplayIdentically) {
-  // Active corruption: a scripted multi-strike episode plus the stochastic
-  // MTTC process, with the idle-bandwidth scrubber running. Detection,
-  // quarantine, replica repair and scrub ticks must all replay
-  // byte-identically across backends.
-  ExpectBackendsAgree(
-      "nodes=4\ndb_pages=800\ncache_bytes=262144\n"
-      "interval_ms=2000\nintervals=8\nseed=5\n"
-      "classes=2\nclass1_goal_ms=60\n"
-      "class0_interarrival_ms=40\nclass1_interarrival_ms=40\n"
-      "corrupt=all\ncorrupt_latent=0.25\nfault_mttc_ms=4000\n"
-      "corrupt_node=1\ncorrupt_at_ms=1500\ncorrupt_count=3\ncorrupt_salt=9\n"
-      "scrub=idle\nscrub_interval_ms=500\naudit=1\n",
-      "corruption+scrub");
+  // The corruption machinery at rate zero makes no RNG draw and schedules
+  // no event, so its run is byte-identical to one without the keys.
+  const RunOutputs& bare = runs.at("crashes");
+  const RunOutputs& zero_rate = runs.at("crashes+zero-rate-corruption");
+  EXPECT_EQ(bare.events, zero_rate.events);
+  EXPECT_EQ(bare.metrics_csv, zero_rate.metrics_csv);
+  EXPECT_EQ(bare.decision_jsonl, zero_rate.decision_jsonl);
+  // The attainment tracker is a pure observer: the simulation is unchanged
+  // (its decision records legitimately gain miss-card fields).
+  const RunOutputs& tracked = runs.at("crashes+attainment");
+  EXPECT_EQ(bare.events, tracked.events);
+  EXPECT_EQ(bare.metrics_csv, tracked.metrics_csv);
+  EXPECT_FALSE(tracked.attainment_jsonl.empty());
 }
 
 }  // namespace

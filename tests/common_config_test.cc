@@ -130,7 +130,7 @@ TEST(ConfigTest, RejectUnknownFlagsSuggestsNearMiss) {
 
 TEST(ConfigTest, NearestSuggestionSharedHelper) {
   // The helper behind the flag suggestions is reusable for enum-valued
-  // scenario keys (queue=, corrupt=, scrub=): within edit distance 2 it
+  // scenario keys (corrupt=, scrub=): within edit distance 2 it
   // offers the nearest accepted value, beyond that nothing.
   const std::vector<std::string> accepted = {"calendar", "heap"};
   EXPECT_EQ(NearestSuggestion("calender", accepted), "calendar");

@@ -1,18 +1,15 @@
-// Dense-vs-revised LP backend differential: every checked-in scenario file
-// replayed end to end through both simplex backends must make the same
-// control decisions. The two backends share nothing past the SimplexSolver
-// interface — full tableau vs LU-factorized revised method — so agreement
-// here pins the controller's observable behavior (page-rounded allocations,
-// interval metrics, LP mode ladder) to the LP itself rather than to one
-// implementation's floating-point quirks.
-//
-// The raw LP solution is *not* required to be bit-identical: alternate
-// optima and last-ulp differences in interior coordinates are legal. What
-// must agree exactly is everything the cluster acts on — the shipped and
-// granted allocations after damping and frame rounding, and the metrics
-// CSV the whole downstream simulation derives from. The raw solutions must
-// still agree to 1e-9 relative, per the scaling issue's acceptance bar.
+// Certified replay of the controller's LPs. Every LP a scenario run posed
+// (planes, goal and bounds straight from its decision log) is re-solved
+// offline, and every optimal solve must pass its optimality certificate
+// (la::CheckKkt via SimplexSolver): primal feasibility, reduced-cost signs,
+// complementary slackness and strong duality, independent of the solver's
+// own tolerances. Cold replays must reproduce the logged decision bit for
+// bit, and warm-started ones must reproduce it from the logged basis. The
+// §8 variance objective, which no committed scenario runs, is pinned at its
+// known outcomes. Whole-run behaviour is pinned separately by the golden
+// digests in bench_determinism_test.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -26,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "common/config.h"
+#include "core/goal_controller.h"
 #include "core/metrics.h"
 #include "core/optimizer.h"
 #include "core/scenario.h"
@@ -54,12 +52,10 @@ struct LpRun {
   uint64_t events = 0;
 };
 
-// One full scenario run with the given lp= backend appended (later scenario
-// lines override earlier ones).
-std::optional<LpRun> RunScenarioLp(const std::string& text,
-                                   const std::string& backend) {
+// One full scenario run of `text` (scenario key=value lines).
+std::optional<LpRun> RunScenarioLp(const std::string& text) {
   common::Config config;
-  if (!config.ParseText(text + "\nlp=" + backend + "\n")) {
+  if (!config.ParseText(text)) {
     ADD_FAILURE() << "bad scenario text: " << config.error();
     return std::nullopt;
   }
@@ -77,6 +73,9 @@ std::optional<LpRun> RunScenarioLp(const std::string& text,
   system.SetDecisionLog(&decision_log);
   system.Start();
   system.RunIntervals(scenario->intervals);
+  const auto& controller =
+      dynamic_cast<const GoalOrientedController&>(system.controller());
+  EXPECT_EQ(controller.stats().lp_certificate_failures, 0u);
 
   LpRun run;
   run.metrics_csv = CsvOf(system.metrics());
@@ -85,130 +84,64 @@ std::optional<LpRun> RunScenarioLp(const std::string& text,
   return run;
 }
 
-// Strips the fields that legitimately differ between backends: the warm
-// start bookkeeping (dense never exports a basis, so it never warms) and
-// the raw pre-rounding LP solution (compared separately, to tolerance).
-obs::DecisionRecord Normalized(obs::DecisionRecord record) {
-  record.lp_warm = false;
-  record.lp_warm_basis.clear();
-  record.lp_allocation.clear();
-  return record;
+std::optional<LpRun> RunScenarioFile(const std::string& name,
+                                     int intervals) {
+  const std::string path = std::string(MEMGOAL_SCENARIO_DIR "/") + name;
+  std::ifstream file(path);
+  EXPECT_TRUE(file.is_open()) << path;
+  std::ostringstream buffer;
+  buffer << file.rdbuf();
+  return RunScenarioLp(buffer.str() + "\nintervals=" +
+                       std::to_string(intervals) + "\n");
 }
 
-void ExpectLpBackendsAgree(const std::string& text, const std::string& what) {
-  const std::optional<LpRun> dense = RunScenarioLp(text, "dense");
-  const std::optional<LpRun> revised = RunScenarioLp(text, "revised");
-  ASSERT_TRUE(dense.has_value() && revised.has_value()) << what;
-  EXPECT_GT(dense->events, 0u) << what;
-  EXPECT_EQ(dense->events, revised->events) << what;
-  EXPECT_EQ(dense->metrics_csv, revised->metrics_csv) << what;
-
-  ASSERT_EQ(dense->records.size(), revised->records.size()) << what;
-  EXPECT_FALSE(dense->records.empty()) << what;
-  size_t lp_records = 0;
-  for (size_t i = 0; i < dense->records.size(); ++i) {
-    const obs::DecisionRecord& d = dense->records[i];
-    const obs::DecisionRecord& r = revised->records[i];
-    // Everything but the warm bookkeeping and raw LP point — including the
-    // mode ladder, relaxation rungs, status counts, and the shipped and
-    // granted byte vectors — must serialize identically.
-    ASSERT_EQ(Normalized(d).ToJson(), Normalized(r).ToJson())
-        << what << " record " << i;
-    ASSERT_EQ(d.lp_allocation.size(), r.lp_allocation.size())
-        << what << " record " << i;
-    for (size_t j = 0; j < d.lp_allocation.size(); ++j) {
-      const double tol = 1e-9 * std::max(1.0, std::fabs(d.lp_allocation[j]));
-      EXPECT_NEAR(d.lp_allocation[j], r.lp_allocation[j], tol)
-          << what << " record " << i << " node " << j;
-    }
-    if (d.lp_run) ++lp_records;
-  }
-  // The scenario actually exercised the optimizer.
-  EXPECT_GT(lp_records, 0u) << what;
+// The partitioning LP a decision record logged, as the optimizer's input.
+OptimizerInput InputOf(const obs::DecisionRecord& record) {
+  OptimizerInput input;
+  input.planes.grad_k = record.grad_k;
+  input.planes.intercept_k = record.intercept_k;
+  input.planes.grad_0 = record.grad_0;
+  input.planes.intercept_0 = record.intercept_0;
+  input.goal_rt = record.goal_rt;
+  input.upper_bounds = record.upper_bounds;
+  return input;
 }
 
-TEST(LpBackendDifferential, ScenarioFilesReplayIdentically) {
-  const std::vector<std::string> scenarios = {
-      "base.conf", "corrupt.conf", "faults.conf", "gray.conf",
-      "oltp_dss.conf", "partition.conf"};
-  for (const std::string& name : scenarios) {
-    const std::string path = std::string(MEMGOAL_SCENARIO_DIR "/") + name;
-    std::ifstream file(path);
-    ASSERT_TRUE(file.is_open()) << path;
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    ExpectLpBackendsAgree(buffer.str() + "\nintervals=6\n", name);
-  }
-}
-
-TEST(LpBackendDifferential, LoggedDecisionsResolveIdenticallyOffline) {
-  // Second layer of the differential: take every LP the revised-backend run
-  // actually posed (planes, goal, bounds straight from the decision log),
-  // re-solve it offline through BOTH backends, and require the same mode,
-  // the same relaxation rung, objective agreement to 1e-9, and identical
-  // allocations after the controller's page rounding. This checks the
-  // solvers on the genuine production instances, decoupled from the
-  // feedback loop (a near-miss at record 3 cannot hide behind identical
-  // downstream behavior).
-  constexpr double kPage = 4096.0;
-  const std::vector<std::string> scenarios = {
-      "base.conf", "gray.conf", "oltp_dss.conf"};
+TEST(LpCertificateReplay, EveryLoggedLpResolvesCertifiedOffline) {
+  // Take every LP the production runs actually posed and re-solve it cold,
+  // decoupled from the feedback loop (a near-miss at record 3 cannot hide
+  // behind downstream behaviour). Every optimal solve of the fallback
+  // chain must be certified, the mode must match the log, and a record
+  // that was itself solved cold must reproduce its allocation exactly.
   size_t replayed = 0;
-  for (const std::string& name : scenarios) {
-    const std::string path = std::string(MEMGOAL_SCENARIO_DIR "/") + name;
-    std::ifstream file(path);
-    ASSERT_TRUE(file.is_open()) << path;
-    std::ostringstream buffer;
-    buffer << file.rdbuf();
-    // Longer horizon than the full-run differential: the measure store
-    // needs N+1 warm-up points before any check reaches the LP.
-    const std::optional<LpRun> run =
-        RunScenarioLp(buffer.str() + "\nintervals=16\n", "revised");
+  uint64_t certified = 0;
+  for (const char* name : {"base.conf", "gray.conf", "oltp_dss.conf"}) {
+    // The measure store needs N+1 warm-up points before any check reaches
+    // the LP, hence the longer horizon.
+    const std::optional<LpRun> run = RunScenarioFile(name, 16);
     ASSERT_TRUE(run.has_value()) << name;
     for (const obs::DecisionRecord& record : run->records) {
       if (!record.lp_run || !record.has_planes) continue;
-      OptimizerInput input;
-      input.planes.grad_k = record.grad_k;
-      input.planes.intercept_k = record.intercept_k;
-      input.planes.grad_0 = record.grad_0;
-      input.planes.intercept_0 = record.intercept_0;
-      input.goal_rt = record.goal_rt;
-      input.upper_bounds = record.upper_bounds;
-
-      input.lp_backend = la::LpBackend::kDense;
-      const OptimizerOutput dense = SolvePartitioning(input);
-      input.lp_backend = la::LpBackend::kRevised;
-      const OptimizerOutput revised = SolvePartitioning(input);
-
-      EXPECT_EQ(dense.mode, revised.mode) << name;
-      EXPECT_EQ(dense.relaxed_rung, revised.relaxed_rung) << name;
-      const double tol =
-          1e-9 * std::max(1.0, std::fabs(dense.predicted_rt_0));
-      EXPECT_NEAR(dense.predicted_rt_0, revised.predicted_rt_0, tol) << name;
-      ASSERT_EQ(dense.allocation.size(), revised.allocation.size());
-      for (size_t i = 0; i < dense.allocation.size(); ++i) {
-        EXPECT_EQ(std::floor(dense.allocation[i] / kPage),
-                  std::floor(revised.allocation[i] / kPage))
-            << name << " node " << i;
+      const OptimizerOutput output = SolvePartitioning(InputOf(record));
+      EXPECT_EQ(output.lp_stats.certificate_failures, 0u) << name;
+      certified += output.lp_stats.optimal;
+      EXPECT_EQ(OptimizerModeName(output.mode), record.lp_mode) << name;
+      if (!record.lp_warm) {
+        EXPECT_EQ(output.allocation, record.lp_allocation) << name;
       }
       ++replayed;
     }
   }
   EXPECT_GT(replayed, 10u);
+  EXPECT_GT(certified, 10u);
 }
 
-TEST(LpBackendDifferential, WarmStartedSolvesReplayBitForBit) {
+TEST(LpCertificateReplay, WarmStartedSolvesReplayBitForBit) {
   // The lp_warm_basis field's contract: a warm-started production solve is
   // reproducible offline by re-offering the logged basis. Replay every
-  // warm record of a revised-backend run and require the bit-identical
-  // allocation the controller logged.
-  const std::string path = std::string(MEMGOAL_SCENARIO_DIR "/") + "base.conf";
-  std::ifstream file(path);
-  ASSERT_TRUE(file.is_open()) << path;
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  const std::optional<LpRun> run =
-      RunScenarioLp(buffer.str() + "\nintervals=8\n", "revised");
+  // warm record and require the bit-identical allocation the controller
+  // logged, under a valid certificate.
+  const std::optional<LpRun> run = RunScenarioFile("base.conf", 8);
   ASSERT_TRUE(run.has_value());
   size_t warm_replayed = 0;
   for (const obs::DecisionRecord& record : run->records) {
@@ -216,15 +149,10 @@ TEST(LpBackendDifferential, WarmStartedSolvesReplayBitForBit) {
     la::SimplexBasis basis;
     ASSERT_TRUE(la::SimplexBasis::FromText(record.lp_warm_basis, &basis));
     ASSERT_FALSE(basis.empty());
-    OptimizerInput input;
-    input.planes.grad_k = record.grad_k;
-    input.planes.intercept_k = record.intercept_k;
-    input.planes.grad_0 = record.grad_0;
-    input.planes.intercept_0 = record.intercept_0;
-    input.goal_rt = record.goal_rt;
-    input.upper_bounds = record.upper_bounds;
+    OptimizerInput input = InputOf(record);
     input.warm = &basis;
     const OptimizerOutput replayed = SolvePartitioning(input);
+    EXPECT_EQ(replayed.lp_stats.certificate_failures, 0u);
     EXPECT_EQ(OptimizerModeName(replayed.mode), record.lp_mode);
     ASSERT_EQ(replayed.allocation.size(), record.lp_allocation.size());
     for (size_t i = 0; i < replayed.allocation.size(); ++i) {
@@ -237,15 +165,24 @@ TEST(LpBackendDifferential, WarmStartedSolvesReplayBitForBit) {
   EXPECT_GT(warm_replayed, 0u);
 }
 
-TEST(LpBackendDifferential, VarianceObjectiveAgreesAcrossBackends) {
+TEST(LpCertificateReplay, VarianceObjectiveOutcomesArePinned) {
   // No committed scenario runs the §8 variance objective, so cover its
-  // 2n-variable LP shape directly. The minimum-MAD face of this LP is
-  // typically not a single vertex (sliding allocation between nodes whose
-  // dispersion terms are interior moves along an optimal edge), so the two
-  // backends may legally return different points; what must agree is the
-  // mode ladder and the objective — predicted mean and dispersion — plus
-  // feasibility of both points.
-  for (const size_t n : {3u, 6u, 12u}) {
+  // 2n-variable LP shape directly. The goal is unreachable outright but
+  // reachable on the relaxation ladder — at a deeper rung as n (and the
+  // zero-allocation mean) grows — so every rung's LP is exercised. The
+  // minimum-MAD face is typically not a single vertex, so the point itself
+  // is not pinned; the mode, the relaxed goal and the optimal dispersion
+  // are, at the values the solver produced when a second, dense-tableau
+  // simplex still agreed with it to 1e-9.
+  struct Pinned {
+    size_t n;
+    double relaxed_goal_rt;
+    double predicted_mad_rt;
+  };
+  for (const Pinned& pinned : {Pinned{3, 19.8, 0.0},
+                               Pinned{6, 22.5, 0.45801998222222373},
+                               Pinned{12, 27.0, 1.4232453485714307}}) {
+    const size_t n = pinned.n;
     VarianceOptimizerInput input;
     input.node_planes.resize(n);
     input.mean_grad.assign(n, 0.0);
@@ -254,8 +191,7 @@ TEST(LpBackendDifferential, VarianceObjectiveAgreesAcrossBackends) {
       const double slope = -1e-6 * (1.0 + 0.37 * static_cast<double>(i));
       input.node_planes[i].grad.assign(n, 0.0);
       input.node_planes[i].grad[i] = slope;
-      // Strictly distinct intercepts: symmetric ties would admit alternate
-      // optima, where the backends may legally pick different vertices.
+      // Strictly distinct intercepts keep the optimum's objective unique.
       input.node_planes[i].intercept = 20.0 + 1.7 * static_cast<double>(i);
       input.mean_grad[i] = slope / static_cast<double>(n);
       input.mean_intercept += input.node_planes[i].intercept /
@@ -263,34 +199,22 @@ TEST(LpBackendDifferential, VarianceObjectiveAgreesAcrossBackends) {
     }
     input.goal_rt = 18.0;
 
-    input.lp_backend = la::LpBackend::kDense;
-    const VarianceOptimizerOutput dense = SolveVariancePartitioning(input);
-    input.lp_backend = la::LpBackend::kRevised;
-    const VarianceOptimizerOutput revised = SolveVariancePartitioning(input);
-
-    // This instance's goal is unreachable outright but reachable on the
-    // relaxation ladder — at a deeper rung as n (and the zero-allocation
-    // mean) grows — so it exercises the full retry chain on both backends.
-    EXPECT_EQ(dense.mode, OptimizerMode::kGoalRelaxed) << "n=" << n;
-    EXPECT_EQ(dense.mode, revised.mode) << "n=" << n;
-    EXPECT_EQ(dense.relaxed_goal_rt, revised.relaxed_goal_rt) << "n=" << n;
-    const double mad_tol =
-        1e-9 * std::max(1.0, std::fabs(dense.predicted_mad_rt));
-    EXPECT_NEAR(dense.predicted_mad_rt, revised.predicted_mad_rt, mad_tol)
+    const VarianceOptimizerOutput out = SolveVariancePartitioning(input);
+    EXPECT_EQ(out.mode, OptimizerMode::kGoalRelaxed) << "n=" << n;
+    EXPECT_EQ(out.relaxed_goal_rt, pinned.relaxed_goal_rt) << "n=" << n;
+    EXPECT_NEAR(out.predicted_mad_rt, pinned.predicted_mad_rt,
+                1e-9 * std::max(1.0, pinned.predicted_mad_rt))
         << "n=" << n;
+    EXPECT_GT(out.lp_stats.optimal, 0u) << "n=" << n;
+    EXPECT_EQ(out.lp_stats.certificate_failures, 0u) << "n=" << n;
     // The relaxed rung solves an *inequality* LP, so the mean is only
-    // bounded, not pinned: both points must respect the relaxed goal.
-    for (const VarianceOptimizerOutput* out : {&dense, &revised}) {
-      EXPECT_LE(out->predicted_mean_rt, dense.relaxed_goal_rt + 1e-6)
-          << "n=" << n;
-    }
-    ASSERT_EQ(dense.allocation.size(), revised.allocation.size());
+    // bounded, not pinned.
+    EXPECT_LE(out.predicted_mean_rt, out.relaxed_goal_rt + 1e-6) << "n=" << n;
+    ASSERT_EQ(out.allocation.size(), n);
     for (size_t i = 0; i < n; ++i) {
-      for (const VarianceOptimizerOutput* out : {&dense, &revised}) {
-        EXPECT_GE(out->allocation[i], 0.0) << "n=" << n << " node " << i;
-        EXPECT_LE(out->allocation[i], input.upper_bounds[i])
-            << "n=" << n << " node " << i;
-      }
+      EXPECT_GE(out.allocation[i], 0.0) << "n=" << n << " node " << i;
+      EXPECT_LE(out.allocation[i], input.upper_bounds[i])
+          << "n=" << n << " node " << i;
     }
   }
 }

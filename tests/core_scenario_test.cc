@@ -16,36 +16,6 @@ std::optional<Scenario> Load(const std::string& text, std::string* error) {
   return LoadScenario(config, error);
 }
 
-TEST(ScenarioTest, QueueNearMissGetsSuggestion) {
-  std::string error;
-  EXPECT_FALSE(Load("queue=calender\n", &error).has_value());
-  EXPECT_NE(error.find("queue must be calendar or heap"), std::string::npos)
-      << error;
-  EXPECT_NE(error.find("did you mean calendar?"), std::string::npos) << error;
-}
-
-TEST(ScenarioTest, LpKeySelectsBackend) {
-  std::string error;
-  std::optional<Scenario> scenario = Load("lp=dense\nclass1_goal_ms=50\n", &error);
-  ASSERT_TRUE(scenario.has_value()) << error;
-  EXPECT_EQ(scenario->system.lp_backend, la::LpBackend::kDense);
-  scenario = Load("lp=revised\nclass1_goal_ms=50\n", &error);
-  ASSERT_TRUE(scenario.has_value()) << error;
-  EXPECT_EQ(scenario->system.lp_backend, la::LpBackend::kRevised);
-  // Default is the revised solver.
-  scenario = Load("nodes=3\nclass1_goal_ms=50\n", &error);
-  ASSERT_TRUE(scenario.has_value()) << error;
-  EXPECT_EQ(scenario->system.lp_backend, la::LpBackend::kRevised);
-}
-
-TEST(ScenarioTest, LpNearMissGetsSuggestion) {
-  std::string error;
-  EXPECT_FALSE(Load("lp=revized\n", &error).has_value());
-  EXPECT_NE(error.find("lp must be revised or dense"), std::string::npos)
-      << error;
-  EXPECT_NE(error.find("did you mean revised?"), std::string::npos) << error;
-}
-
 TEST(ScenarioTest, HintBudgetKeyPopulatesConfig) {
   std::string error;
   const std::optional<Scenario> scenario = Load("hint_budget=12\nclass1_goal_ms=50\n", &error);
@@ -76,7 +46,8 @@ TEST(ScenarioTest, ScrubNearMissGetsSuggestion) {
 
 TEST(ScenarioTest, FarFetchedEnumValueGetsNoSuggestion) {
   std::string error;
-  EXPECT_FALSE(Load("queue=fibonacci\n", &error).has_value());
+  EXPECT_FALSE(Load("corrupt=fibonacci\n", &error).has_value());
+  EXPECT_NE(error.find("corrupt must be"), std::string::npos) << error;
   EXPECT_EQ(error.find("did you mean"), std::string::npos) << error;
 }
 

@@ -1,15 +1,18 @@
 // Locks in the calendar-queue event core from sim/event_queue.h.
 //
 // Three layers of defense:
-//  1. Queue-level conformance: CalendarQueue and LegacyHeapQueue are driven
-//     through identical randomized insert/pop schedules and must pop the
-//     same nodes in the same order as a sorted reference model — including
-//     duplicate timestamps, zero delays and far-future times that overflow
-//     the day ordinal.
-//  2. Simulator-level properties on BOTH backends: FIFO at equal
-//     timestamps, monotone Now(), Run/RunUntil/Step interleaving, and a
-//     golden fingerprint of a synthetic schedule's execution order (any
-//     reordering regression changes the fingerprint).
+//  1. Queue-level conformance: CalendarQueue and a test-local binary heap
+//     (the event core's pre-calendar implementation) are driven through
+//     identical randomized insert/pop schedules and must pop the same nodes
+//     in the same order as a sorted reference model — including duplicate
+//     timestamps, zero delays and far-future times that overflow the day
+//     ordinal.
+//  2. Simulator-level properties: FIFO at equal timestamps, monotone Now(),
+//     Run/RunUntil/Step interleaving, and a golden fingerprint of a
+//     synthetic schedule's execution order (any reordering regression
+//     changes the fingerprint). The same schedule replayed through a bare
+//     dispatch loop over the calendar queue, the heap and the reference
+//     model must reproduce the pinned fingerprint too.
 //  3. Arena lifetime: destroying a Simulator mid-run with suspended
 //     coroutines and pending events must destroy every callable and frame
 //     exactly once (ASan/UBSan validate this in the sanitizer preset), and
@@ -31,11 +34,14 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "common/rng.h"
 #include "sim/frame_pool.h"
 #include "sim/simulator.h"
@@ -49,7 +55,7 @@ namespace {
 
 // Reference model: the queue contract in its most obvious form — a vector
 // kept sorted by (time, seq). Deliberately naive; any disagreement is a
-// backend bug.
+// queue bug.
 class ReferenceModel {
  public:
   void Insert(EventNode* node) {
@@ -70,15 +76,52 @@ class ReferenceModel {
   std::vector<EventNode*> nodes_;
 };
 
-// Drives the backend under test and the reference model through one
+// The event core's pre-calendar std::priority_queue behaviour, expressed
+// over arena nodes: a binary heap on (time, seq), O(log n) per operation.
+// A second, structurally unrelated implementation of the queue contract.
+class LegacyHeapQueue {
+ public:
+  void Insert(EventNode* node) {
+    heap_.push_back(node);
+    std::push_heap(heap_.begin(), heap_.end(), Later);
+  }
+  EventNode* PeekMin() const { return heap_.empty() ? nullptr : heap_[0]; }
+  EventNode* PopMin() {
+    if (heap_.empty()) return nullptr;
+    std::pop_heap(heap_.begin(), heap_.end(), Later);
+    EventNode* node = heap_.back();
+    heap_.pop_back();
+    return node;
+  }
+  size_t size() const { return heap_.size(); }
+
+ private:
+  // std::push_heap builds a max-heap; "fires later" as the less-than
+  // relation puts the earliest event at the front.
+  static bool Later(const EventNode* a, const EventNode* b) {
+    return EventNode::Earlier(b, a);
+  }
+
+  std::vector<EventNode*> heap_;
+};
+
+struct QueueNames {
+  template <typename Queue>
+  static std::string GetName(int) {
+    if (std::is_same_v<Queue, CalendarQueue>) return "Calendar";
+    if (std::is_same_v<Queue, LegacyHeapQueue>) return "LegacyHeap";
+    return "ReferenceModel";
+  }
+};
+
+// Drives the queue under test and the reference model through one
 // schedule of operations, asserting identical pop order throughout.
 //
 // Nodes never carry callables here — the queue layer only orders headers;
 // callable lifetime is the simulator's business (tested below).
-class QueueConformance : public ::testing::TestWithParam<QueueBackend> {
+template <typename Queue>
+class QueueConformance : public ::testing::Test {
  protected:
-  QueueConformance() : queue_(MakeEventQueue(GetParam())) {}
-
   EventNode* MakeNode(SimTime time) {
     auto node = std::make_unique<EventNode>();
     node->time = time;
@@ -89,16 +132,16 @@ class QueueConformance : public ::testing::TestWithParam<QueueBackend> {
 
   void InsertBoth(SimTime time) {
     EventNode* node = MakeNode(time);
-    queue_->Insert(node);
+    queue_.Insert(node);
     model_.Insert(node);
   }
 
   // Pops from both and asserts they agree; returns false when both empty.
   bool PopBothAndCompare() {
     EventNode* expected = model_.PopMin();
-    EventNode* actual = queue_->PopMin();
+    EventNode* actual = queue_.PopMin();
     EXPECT_EQ(expected, actual)
-        << "backend " << static_cast<int>(GetParam()) << " diverged: model "
+        << "queue diverged: model "
         << (expected ? expected->time : -1.0) << "/"
         << (expected ? expected->seq : 0) << " vs queue "
         << (actual ? actual->time : -1.0) << "/" << (actual ? actual->seq : 0);
@@ -106,25 +149,28 @@ class QueueConformance : public ::testing::TestWithParam<QueueBackend> {
   }
 
   std::vector<std::unique_ptr<EventNode>> nodes_;
-  std::unique_ptr<EventQueue> queue_;
+  Queue queue_;
   ReferenceModel model_;
   uint64_t next_seq_ = 0;
 };
 
-TEST_P(QueueConformance, EmptyQueueReturnsNull) {
-  EXPECT_EQ(queue_->PeekMin(), nullptr);
-  EXPECT_EQ(queue_->PopMin(), nullptr);
-  EXPECT_EQ(queue_->size(), 0u);
+using QueueTypes = ::testing::Types<CalendarQueue, LegacyHeapQueue>;
+TYPED_TEST_SUITE(QueueConformance, QueueTypes, QueueNames);
+
+TYPED_TEST(QueueConformance, EmptyQueueReturnsNull) {
+  EXPECT_EQ(this->queue_.PeekMin(), nullptr);
+  EXPECT_EQ(this->queue_.PopMin(), nullptr);
+  EXPECT_EQ(this->queue_.size(), 0u);
 }
 
-TEST_P(QueueConformance, DuplicateTimestampsPopInSeqOrder) {
-  for (int i = 0; i < 100; ++i) InsertBoth(5.0);
-  for (int i = 0; i < 50; ++i) InsertBoth(1.0);
+TYPED_TEST(QueueConformance, DuplicateTimestampsPopInSeqOrder) {
+  for (int i = 0; i < 100; ++i) this->InsertBoth(5.0);
+  for (int i = 0; i < 50; ++i) this->InsertBoth(1.0);
   uint64_t last_seq = 0;
   SimTime last_time = -1.0;
-  while (queue_->size() > 0) {
-    EventNode* node = queue_->PeekMin();
-    ASSERT_TRUE(PopBothAndCompare());
+  while (this->queue_.size() > 0) {
+    EventNode* node = this->queue_.PeekMin();
+    ASSERT_TRUE(this->PopBothAndCompare());
     if (node->time == last_time) {
       EXPECT_GT(node->seq, last_seq);
     }
@@ -134,32 +180,32 @@ TEST_P(QueueConformance, DuplicateTimestampsPopInSeqOrder) {
   }
 }
 
-TEST_P(QueueConformance, FarFutureTimesStayOrdered) {
+TYPED_TEST(QueueConformance, FarFutureTimesStayOrdered) {
   // Times whose day ordinal saturates kMaxDay must still order among
   // themselves and after every near-term event.
-  InsertBoth(1e305);
-  InsertBoth(0.0);
-  InsertBoth(1e12);
-  InsertBoth(3.5);
-  InsertBoth(1e12);   // duplicate far-future timestamp: seq breaks the tie
-  InsertBoth(1e300);
-  while (PopBothAndCompare()) {
+  this->InsertBoth(1e305);
+  this->InsertBoth(0.0);
+  this->InsertBoth(1e12);
+  this->InsertBoth(3.5);
+  this->InsertBoth(1e12);   // duplicate far-future timestamp: seq breaks the tie
+  this->InsertBoth(1e300);
+  while (this->PopBothAndCompare()) {
   }
-  EXPECT_EQ(queue_->size(), 0u);
+  EXPECT_EQ(this->queue_.size(), 0u);
 }
 
-TEST_P(QueueConformance, PeekMatchesPop) {
-  for (int i = 0; i < 64; ++i) InsertBoth(static_cast<SimTime>(i % 7));
-  while (queue_->size() > 0) {
-    EventNode* peeked = queue_->PeekMin();
-    EXPECT_EQ(peeked, model_.PeekMin());
-    EventNode* popped = queue_->PopMin();
+TYPED_TEST(QueueConformance, PeekMatchesPop) {
+  for (int i = 0; i < 64; ++i) this->InsertBoth(static_cast<SimTime>(i % 7));
+  while (this->queue_.size() > 0) {
+    EventNode* peeked = this->queue_.PeekMin();
+    EXPECT_EQ(peeked, this->model_.PeekMin());
+    EventNode* popped = this->queue_.PopMin();
     EXPECT_EQ(peeked, popped);
-    model_.PopMin();
+    this->model_.PopMin();
   }
 }
 
-TEST_P(QueueConformance, RandomizedInterleaveMatchesModel) {
+TYPED_TEST(QueueConformance, RandomizedInterleaveMatchesModel) {
   // Chaos-style fuzz: random mixture of inserts (clustered, uniform, zero,
   // and occasionally far-future times) and pops, with the time base
   // advancing like a simulation clock so the calendar's cursor must both
@@ -168,7 +214,7 @@ TEST_P(QueueConformance, RandomizedInterleaveMatchesModel) {
   SimTime now = 0.0;
   for (int round = 0; round < 4000; ++round) {
     const double action = rng.NextDouble();
-    if (action < 0.55 || queue_->size() == 0) {
+    if (action < 0.55 || this->queue_.size() == 0) {
       const double shape = rng.NextDouble();
       SimTime when;
       if (shape < 0.3) {
@@ -180,55 +226,47 @@ TEST_P(QueueConformance, RandomizedInterleaveMatchesModel) {
       } else {
         when = now + 1e12 + rng.NextDouble() * 1e15;  // day overflow
       }
-      InsertBoth(when);
+      this->InsertBoth(when);
+      // Peeking between inserts exercises the memoized minimum: a later
+      // insert that sorts first must replace it.
+      ASSERT_EQ(this->queue_.PeekMin(), this->model_.PeekMin());
     } else {
-      EventNode* expected_peek = model_.PeekMin();
-      ASSERT_EQ(queue_->PeekMin(), expected_peek);
-      ASSERT_TRUE(PopBothAndCompare());
+      EventNode* expected_peek = this->model_.PeekMin();
+      ASSERT_EQ(this->queue_.PeekMin(), expected_peek);
+      ASSERT_TRUE(this->PopBothAndCompare());
       now = std::max(now, expected_peek->time);
     }
-    ASSERT_EQ(queue_->size(), model_.size());
+    ASSERT_EQ(this->queue_.size(), this->model_.size());
   }
-  while (PopBothAndCompare()) {
+  while (this->PopBothAndCompare()) {
   }
 }
 
-TEST_P(QueueConformance, ReinsertionAfterPopRefiles) {
+TYPED_TEST(QueueConformance, ReinsertionAfterPopRefiles) {
   // A popped node reinserted at a later time (the simulator never does
   // this, but the queue contract allows it) must be refiled correctly:
   // day/next are recomputed on every Insert.
   common::Rng rng(77u);
   for (int i = 0; i < 200; ++i) {
-    InsertBoth(rng.NextDouble() * 100.0);
+    this->InsertBoth(rng.NextDouble() * 100.0);
   }
   for (int i = 0; i < 500; ++i) {
-    EventNode* node = model_.PopMin();
-    ASSERT_EQ(queue_->PopMin(), node);
+    EventNode* node = this->model_.PopMin();
+    ASSERT_EQ(this->queue_.PopMin(), node);
     node->time += rng.NextDouble() * 50.0;
-    node->seq = next_seq_++;
-    queue_->Insert(node);
-    model_.Insert(node);
+    node->seq = this->next_seq_++;
+    this->queue_.Insert(node);
+    this->model_.Insert(node);
   }
-  while (PopBothAndCompare()) {
+  while (this->PopBothAndCompare()) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBackends, QueueConformance,
-                         ::testing::Values(QueueBackend::kCalendar,
-                                           QueueBackend::kLegacyHeap),
-                         [](const auto& info) {
-                           return info.param == QueueBackend::kCalendar
-                                      ? "Calendar"
-                                      : "LegacyHeap";
-                         });
-
 // ---------------------------------------------------------------------------
-// Layer 2: simulator-level properties on both backends.
+// Layer 2: simulator-level properties.
 
-class SimulatorBackend : public ::testing::TestWithParam<QueueBackend> {};
-
-TEST_P(SimulatorBackend, ZeroDelayYieldsToAlreadyScheduledEvents) {
-  Simulator simulator(GetParam());
+TEST(SimulatorOrder, ZeroDelayYieldsToAlreadyScheduledEvents) {
+  Simulator simulator;
   std::vector<int> order;
   simulator.Schedule(0.0, [&] {
     order.push_back(1);
@@ -242,10 +280,10 @@ TEST_P(SimulatorBackend, ZeroDelayYieldsToAlreadyScheduledEvents) {
   EXPECT_DOUBLE_EQ(simulator.Now(), 0.0);
 }
 
-TEST_P(SimulatorBackend, FifoAtSameTimestampAcrossMixedSources) {
+TEST(SimulatorOrder, FifoAtSameTimestampAcrossMixedSources) {
   // Callback events and coroutine resumes scheduled for one timestamp fire
   // in scheduling order regardless of how they were scheduled.
-  Simulator simulator(GetParam());
+  Simulator simulator;
   std::vector<int> order;
   auto process = [](Simulator* sim, std::vector<int>* out,
                     int tag) -> Task<void> {
@@ -260,8 +298,8 @@ TEST_P(SimulatorBackend, FifoAtSameTimestampAcrossMixedSources) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
 }
 
-TEST_P(SimulatorBackend, NowIsMonotoneThroughRandomizedSchedule) {
-  Simulator simulator(GetParam());
+TEST(SimulatorOrder, NowIsMonotoneThroughRandomizedSchedule) {
+  Simulator simulator;
   common::Rng rng(0xBADCAFEu);
   SimTime last_seen = 0.0;
   uint64_t fired = 0;
@@ -289,12 +327,12 @@ TEST_P(SimulatorBackend, NowIsMonotoneThroughRandomizedSchedule) {
   EXPECT_EQ(simulator.pending_events(), 0u);
 }
 
-TEST_P(SimulatorBackend, StepRunUntilRunInterleaveAgrees) {
+TEST(SimulatorOrder, StepRunUntilRunInterleaveAgrees) {
   // The same schedule executed three ways — pure Run(), RunUntil slices,
   // and Step-by-Step — must fire events in the same order at the same
   // times.
-  auto record = [&](QueueBackend backend, int mode) {
-    Simulator simulator(backend);
+  auto record = [&](int mode) {
+    Simulator simulator;
     std::vector<std::pair<double, int>> log;
     common::Rng rng(99u);
     for (int i = 0; i < 200; ++i) {
@@ -317,9 +355,9 @@ TEST_P(SimulatorBackend, StepRunUntilRunInterleaveAgrees) {
     EXPECT_EQ(simulator.pending_events(), 0u);
     return log;
   };
-  const auto pure = record(GetParam(), 0);
-  EXPECT_EQ(record(GetParam(), 1), pure);
-  EXPECT_EQ(record(GetParam(), 2), pure);
+  const auto pure = record(0);
+  EXPECT_EQ(record(1), pure);
+  EXPECT_EQ(record(2), pure);
   ASSERT_EQ(pure.size(), 200u);
 }
 
@@ -333,8 +371,19 @@ uint64_t Fnv1a(uint64_t hash, uint64_t value) {
   return hash;
 }
 
-uint64_t SyntheticScheduleFingerprint(QueueBackend backend) {
-  Simulator simulator(backend);
+// Golden fingerprint of the synthetic schedule below. There is exactly one
+// correct order under the (time, seq) contract, so every implementation
+// must produce it; if an intentional ordering change lands (think twice),
+// re-pin with the value printed on failure.
+constexpr uint64_t kGoldenFingerprint = 0x021AB8773EB1AAA7ull;
+
+// The synthetic schedule's random draws: a zero delay 30% of the time.
+double SyntheticDelay(common::Rng& rng) {
+  return rng.NextDouble() < 0.3 ? 0.0 : rng.NextDouble() * 8.0;
+}
+
+uint64_t SyntheticScheduleFingerprint() {
+  Simulator simulator;
   common::Rng rng(0x600DF00Du);
   uint64_t fingerprint = 0xCBF29CE484222325ull;
   auto note = [&](int tag) {
@@ -346,8 +395,7 @@ uint64_t SyntheticScheduleFingerprint(QueueBackend backend) {
   auto process = [](Simulator* sim, common::Rng* prng, auto* notefn,
                     int tag) -> Task<void> {
     for (int hop = 0; hop < 4; ++hop) {
-      co_await sim->Delay(prng->NextDouble() < 0.3 ? 0.0
-                                                   : prng->NextDouble() * 8.0);
+      co_await sim->Delay(SyntheticDelay(*prng));
       (*notefn)(tag * 10 + hop);
     }
   };
@@ -372,27 +420,96 @@ uint64_t SyntheticScheduleFingerprint(QueueBackend backend) {
 }
 
 TEST(EventOrderGolden, SyntheticScheduleFingerprintIsPinned) {
-  // Golden fingerprint of the synthetic schedule above. Both backends must
-  // produce it. If an intentional ordering change lands (there is exactly
-  // one correct order under the (time, seq) contract, so think twice),
-  // re-pin with the value printed on failure.
-  constexpr uint64_t kGolden = 0x021AB8773EB1AAA7ull;
-  const uint64_t calendar =
-      SyntheticScheduleFingerprint(QueueBackend::kCalendar);
-  const uint64_t heap = SyntheticScheduleFingerprint(QueueBackend::kLegacyHeap);
-  EXPECT_EQ(calendar, heap);
-  EXPECT_EQ(calendar, kGolden)
-      << "event order changed; new fingerprint 0x" << std::hex << calendar;
+  const uint64_t fingerprint = SyntheticScheduleFingerprint();
+  EXPECT_EQ(fingerprint, kGoldenFingerprint)
+      << "event order changed; new fingerprint 0x" << std::hex << fingerprint;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBackends, SimulatorBackend,
-                         ::testing::Values(QueueBackend::kCalendar,
-                                           QueueBackend::kLegacyHeap),
-                         [](const auto& info) {
-                           return info.param == QueueBackend::kCalendar
-                                      ? "Calendar"
-                                      : "LegacyHeap";
-                         });
+// The Simulator's dispatch loop over a bare queue: pop the earliest node,
+// advance the clock, run the callable, recycle the node.
+template <typename Queue>
+class DispatchLoop {
+ public:
+  ~DispatchLoop() { MEMGOAL_CHECK(queue_.size() == 0); }
+
+  SimTime Now() const { return now_; }
+
+  template <typename Fn>
+  void At(SimTime when, Fn&& fn) {
+    EventNode* node = arena_.Allocate();
+    node->time = when;
+    node->seq = next_seq_++;
+    node->Emplace(std::forward<Fn>(fn));
+    queue_.Insert(node);
+  }
+
+  void Run() {
+    while (EventNode* node = queue_.PopMin()) {
+      now_ = node->time;
+      node->invoke(node, /*run=*/true);
+      arena_.Free(node);
+    }
+  }
+
+ private:
+  EventArena arena_;
+  Queue queue_;
+  SimTime now_ = 0.0;
+  uint64_t next_seq_ = 0;
+};
+
+// SyntheticScheduleFingerprint's schedule issued through DispatchLoop: the
+// same scheduling calls with the same draws in the same order, a coroutine
+// process becoming a chain of callbacks (one per Delay resume).
+template <typename Queue>
+uint64_t DispatchLoopFingerprint() {
+  DispatchLoop<Queue> loop;
+  common::Rng rng(0x600DF00Du);
+  uint64_t fingerprint = 0xCBF29CE484222325ull;
+  auto note = [&](int tag) {
+    fingerprint = Fnv1a(fingerprint, std::bit_cast<uint64_t>(loop.Now()));
+    fingerprint = Fnv1a(fingerprint, static_cast<uint64_t>(tag));
+  };
+  auto hop = [&](auto&& self, int tag, int step) -> void {
+    note(tag * 10 + step);
+    if (step + 1 < 4) {
+      loop.At(loop.Now() + SyntheticDelay(rng),
+              [self, tag, step] { self(self, tag, step + 1); });
+    }
+  };
+  for (int i = 0; i < 25; ++i) {
+    const double shape = rng.NextDouble();
+    if (shape < 0.2) {
+      loop.At(loop.Now() + SyntheticDelay(rng),
+              [hop, tag = 1000 + i] { hop(hop, tag, 0); });
+    } else if (shape < 0.4) {
+      loop.At(5.0, [&note, i] { note(i); });
+    } else if (shape < 0.5) {
+      loop.At(1e12 + i, [&note, i] { note(i); });
+    } else {
+      const double when = rng.NextDouble() * 40.0;
+      loop.At(when, [&loop, &note, i] {
+        note(i);
+        loop.At(loop.Now(), [&note, i] { note(100 + i); });
+      });
+    }
+  }
+  loop.Run();
+  return fingerprint;
+}
+
+template <typename Queue>
+class EventOrderGoldenQueue : public ::testing::Test {};
+
+using GoldenQueueTypes =
+    ::testing::Types<CalendarQueue, LegacyHeapQueue, ReferenceModel>;
+TYPED_TEST_SUITE(EventOrderGoldenQueue, GoldenQueueTypes, QueueNames);
+
+TYPED_TEST(EventOrderGoldenQueue, DispatchLoopReproducesPinnedFingerprint) {
+  const uint64_t fingerprint = DispatchLoopFingerprint<TypeParam>();
+  EXPECT_EQ(fingerprint, kGoldenFingerprint)
+      << "event order changed; new fingerprint 0x" << std::hex << fingerprint;
+}
 
 // ---------------------------------------------------------------------------
 // Layer 3: arena and frame lifetime. Run these under the asan-ubsan preset:

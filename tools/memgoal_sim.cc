@@ -44,9 +44,8 @@
 //                                      on top of the scripted faults
 //   audit (0)                        — run the invariant auditor every
 //                                      interval; violations fail the run
-//   crash_detect_timeout_ms (2.0),
-//   queue (calendar | heap)          — event-queue backend (heap is the
-//                                      reference bit-identical legacy core)
+//   crash_detect_timeout_ms (2.0)    — remote-fetch deadline before
+//                                      hedging; doubles as crash detection
 //   classes (2)                      — total class count including class 0
 //
 // Observability outputs (also accepted as --trace-out=..., --decision-log=...
@@ -177,8 +176,8 @@ bool WriteFileOrComplain(const std::string& path, const char* what,
 
 int Run(memgoal::common::Config& config) {
   // Scenario construction (system config, fault scripts, chaos overlay,
-  // class specs) lives in core/scenario.{h,cc} so the differential test
-  // harness can replay the same .conf files; this tool keeps only the
+  // class specs) lives in core/scenario.{h,cc} so the golden-digest tests
+  // can replay the same .conf files; this tool keeps only the
   // CLI concerns: file I/O, observability wiring and the summary report.
   std::string scenario_error;
   std::optional<memgoal::core::Scenario> scenario =
