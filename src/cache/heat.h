@@ -1,6 +1,7 @@
 #ifndef MEMGOAL_CACHE_HEAT_H_
 #define MEMGOAL_CACHE_HEAT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
@@ -27,6 +28,19 @@ namespace memgoal::cache {
 /// whose backward-K time has fallen behind a caller-chosen horizon — such a
 /// page's heat is indistinguishable from a cold restart anyway — while a
 /// retain predicate protects pages the caller still holds resident.
+///
+/// Pruning is incremental: an aging min-heap holds exactly one entry
+/// (key, page, stamp) per live history, and an entry's key never exceeds
+/// its history's current backward-K time (which only moves forward). So
+/// every history older than the horizon has an entry keyed below it, and a
+/// sweep pops only those entries: a stale one (its history was forgotten,
+/// perhaps re-created since; the stamp tells) is dropped, one whose page
+/// was accessed since filing is re-filed at its current backward-K time, a
+/// retained one is filed again for the next sweep, and the rest are
+/// evicted. A sweep thus costs O(log n) per entry keyed below the horizon,
+/// not a scan of every record, and evicts exactly the set a full scan
+/// would.
+///
 /// Updates are batched: RecordAccess is an O(1) append to a pending log,
 /// and the log is applied — in record order, so the end state is identical
 /// to eager application — the moment any reader needs the histories. The
@@ -59,22 +73,16 @@ class HeatTracker {
   /// Number of recorded accesses to `page` (saturates at 2^31).
   int AccessCount(PageId page) const;
 
-  void Forget(PageId page) {
-    // Apply pending records first: accesses logged before the Forget must
-    // land (and then be erased), not resurrect the page at the next flush.
-    Flush();
-    if (const History* h = history_.Find(page)) {
-      free_offsets_.push_back(h->offset);
-      history_.Erase(page);
-    }
-  }
+  void Forget(PageId page);
 
   /// Drops the history of every page whose backward-K time is older than
   /// `horizon` and for which `retain` (if given) returns false. Returns the
-  /// number of records evicted. Typical use: horizon = now - a few
-  /// observation intervals, retain = "page is cache-resident".
+  /// number of records evicted and, if `evicted_pages` is given, appends
+  /// their pages to it. Typical use: horizon = now - a few observation
+  /// intervals, retain = "page is cache-resident".
   size_t EvictColderThan(sim::SimTime horizon,
-                         const std::function<bool(PageId)>& retain = nullptr);
+                         const std::function<bool(PageId)>& retain = nullptr,
+                         std::vector<PageId>* evicted_pages = nullptr);
 
   int k() const { return k_; }
   size_t tracked_pages() const {
@@ -91,6 +99,22 @@ class HeatTracker {
     uint32_t offset = 0;
     int32_t next = 0;
     int32_t count = 0;
+    /// Creation serial, matched against aging entries to tell this
+    /// history's entry from one left behind by a forgotten predecessor.
+    uint32_t stamp = 0;
+
+    /// Slot of the backward-K access: with m = min(count, k) recorded
+    /// accesses it sits m slots behind the write cursor.
+    int BackwardSlot(int k) const {
+      const int m = std::min(count, static_cast<int32_t>(k));
+      return ((next - m) % k + k) % k;
+    }
+  };
+  struct AgingEntry {
+    /// At most the history's backward-K time when filed (and hence ever).
+    sim::SimTime key;
+    PageId page;
+    uint32_t stamp;
   };
   struct PendingAccess {
     PageId page;
@@ -106,6 +130,18 @@ class HeatTracker {
   }
   void FlushPending() const;
 
+  /// Appends an access at `time` to `page`'s history, creating the history
+  /// (and filing its aging entry) on first sight.
+  History& Append(PageId page, sim::SimTime time) const;
+
+  sim::SimTime BackwardK(const History& h) const {
+    return slab_[h.offset + static_cast<uint32_t>(h.BackwardSlot(k_))];
+  }
+  double HeatOf(const History& h, sim::SimTime now) const;
+
+  /// Pushes the aging entry of `page`'s history `stamp` under `key`.
+  void File(sim::SimTime key, PageId page, uint32_t stamp) const;
+
   /// Claims a zero-filled k_-slot run in slab_ (reusing a freed run when
   /// one exists) and returns its offset.
   uint32_t AllocateSlots() const;
@@ -118,6 +154,10 @@ class HeatTracker {
   // (Forget / EvictColderThan) are recycled through free_offsets_.
   mutable std::vector<sim::SimTime> slab_;
   mutable std::vector<uint32_t> free_offsets_;
+  /// Aging min-heap on key (see the class comment), and the serial handed
+  /// to the next created history.
+  mutable std::vector<AgingEntry> aging_;
+  mutable uint32_t next_stamp_ = 0;
 };
 
 }  // namespace memgoal::cache

@@ -188,6 +188,7 @@ void Node::ResetVolatileState() {
     tracker = cache::HeatTracker(k);
   }
   reported_heat_.clear();
+  orphan_hints_.clear();
   // A crashed node owes nothing: its heat contributions were wiped from the
   // directory by DropNode, which is exactly a sync.
   unsynced_hints_.clear();
@@ -198,6 +199,7 @@ size_t Node::FlushUnsyncedHints() {
   for (const PageId page : unsynced_hints_) {
     const double heat = AccumulatedHeat(page);
     reported_heat_[page] = heat;
+    if (accumulated_heat_.AccessCount(page) == 0) orphan_hints_.push_back(page);
     system_->directory().ReportLocalHeat(id_, page, heat);
     const NodeId home = system_->database().HomeOf(page);
     if (home != id_) {
@@ -221,21 +223,31 @@ size_t Node::HeatHistorySize() const {
 
 void Node::SweepHeatHistory(sim::SimTime horizon) {
   const auto resident = [this](PageId page) { return cache_->IsCached(page); };
-  accumulated_heat_.EvictColderThan(horizon, resident);
+  accumulated_heat_.EvictColderThan(horizon, resident, &orphan_hints_);
   for (auto& [klass, tracker] : class_heat_) {
     tracker.EvictColderThan(horizon, resident);
   }
   // Hint bookkeeping for pages whose history just aged out would otherwise
   // grow the same way; a page without history and without residency will be
-  // re-reported from scratch if it ever comes back.
-  for (auto it = reported_heat_.begin(); it != reported_heat_.end();) {
-    if (accumulated_heat_.AccessCount(it.key()) == 0 &&
-        !cache_->IsCached(it.key())) {
-      it = reported_heat_.Erase(it);
+  // re-reported from scratch if it ever comes back. Only orphan candidates
+  // can qualify: every other reported page still has accumulated history.
+  std::sort(orphan_hints_.begin(), orphan_hints_.end());
+  orphan_hints_.erase(std::unique(orphan_hints_.begin(), orphan_hints_.end()),
+                      orphan_hints_.end());
+  size_t kept = 0;
+  for (const PageId page : orphan_hints_) {
+    // A page with history again is re-filed when that history ages out.
+    if (reported_heat_.Find(page) == nullptr ||
+        accumulated_heat_.AccessCount(page) != 0) {
+      continue;
+    }
+    if (cache_->IsCached(page)) {
+      orphan_hints_[kept++] = page;
     } else {
-      ++it;
+      reported_heat_.Erase(page);
     }
   }
+  orphan_hints_.resize(kept);
 }
 
 void Node::HandleDrops(std::span<const PageId> dropped) {

@@ -417,6 +417,11 @@ class Node {
   ClassId class_heat_memo_class_ = kNoGoalClass;
   cache::HeatTracker* class_heat_memo_ = nullptr;
   common::FlatHashMap<PageId, double> reported_heat_;
+  /// Pages of reported_heat_ that may lack accumulated history: those whose
+  /// history the sweep evicted, and heal-time re-reports of pages never
+  /// recorded. SweepHeatHistory prunes reported_heat_ through this list
+  /// instead of scanning it; cached ones stay listed until they leave.
+  std::vector<PageId> orphan_hints_;
   // Heat reports lost to a partition cut, owed to their homes at heal time.
   std::set<PageId> unsynced_hints_;
   /// Remote heat hints sent since the last interval boundary, counted

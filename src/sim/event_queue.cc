@@ -66,12 +66,17 @@ EventNode* CalendarQueue::PeekMin() {
     // day exactly when the bucket holds anything in this day (later years
     // sort behind). No queued day precedes cursor_day_, so the first match
     // is the global minimum.
-    if (head != nullptr && head->day == cursor_day_) return peeked_ = head;
+    if (head != nullptr && head->day == cursor_day_) {
+      walks_since_retune_ += scanned;
+      return peeked_ = head;
+    }
     ++cursor_day_;
   }
   // A whole year without a hit: the population is sparse relative to the
   // current width. Direct search over bucket heads, then re-park the
-  // cursor at the winner's day.
+  // cursor at the winner's day. The fruitless year counts as walk cost,
+  // like every empty day above.
+  walks_since_retune_ += year_days;
   EventNode* best = nullptr;
   for (EventNode* head : buckets_) {
     if (head == nullptr) continue;

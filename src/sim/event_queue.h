@@ -177,13 +177,17 @@ class CalendarQueue {
   /// overflows land together in the max day, still ordered by (time, seq)
   /// within their shared bucket.
   static constexpr uint64_t kMaxDay = uint64_t{1} << 62;
-  /// Walk-cost self-tuning: every kRetuneWindow inserts, if the mean
-  /// sorted-insert walk exceeded kRetuneMeanWalk steps, the calendar
-  /// rebuilds at the same bucket count purely to re-derive the width from
-  /// the *current* head density. Load factor alone cannot catch a stale
-  /// width: a burst of near-term events can pile dozens of chained nodes
-  /// into a handful of "today" buckets while the table as a whole looks
-  /// perfectly sized.
+  /// Walk-cost self-tuning: every kRetuneWindow inserts, if the mean walk
+  /// per insert exceeded kRetuneMeanWalk steps, the calendar rebuilds at
+  /// the same bucket count purely to re-derive the width from the
+  /// *current* head density. Walk steps are sorted-insert chain steps plus
+  /// PeekMin's empty days (a fruitless year counts as a whole year).
+  /// Load factor alone cannot catch a stale width: a burst of near-term
+  /// events can pile dozens of chained nodes into a handful of "today"
+  /// buckets while the table as a whole looks perfectly sized, and a
+  /// width derived from a same-instant burst (microseconds) leaves the
+  /// population that follows (events spread over seconds) one per day
+  /// with years of empty days between them.
   static constexpr uint64_t kRetuneWindow = 8192;
   static constexpr uint64_t kRetuneMeanWalk = 4;
 

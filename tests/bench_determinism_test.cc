@@ -208,11 +208,12 @@ TEST(DeterminismTest, MeasureConvergenceDefaultsToInlineRunner) {
 // (when tracked) attainment JSONL — and pinned by FNV-1a digest. The cases
 // cover every checked-in scenario file, generated chaos schedules (also
 // through their repro-file text form), burst loss with the auditor, active
-// corruption with scrubbing, the corruption machinery at rate zero, and
-// enabled attainment tracking. Any change in simulated behaviour — event
-// order, RNG draw order, a controller decision, one LP answer — changes a
-// digest. On a mismatch the test prints the recomputed table; an intended
-// change is then a reviewed re-pin of the affected rows.
+// corruption with scrubbing, the corruption machinery at rate zero,
+// enabled attainment tracking, and the heat-history sweep under a short
+// horizon. Any change in simulated behaviour — event order, RNG draw
+// order, a controller decision, one LP answer — changes a digest. On a
+// mismatch the test prints the recomputed table; an intended change is
+// then a reviewed re-pin of the affected rows.
 
 struct RunOutputs {
   uint64_t events = 0;
@@ -245,6 +246,8 @@ struct GoldenCase {
   /// Fault schedule applied after loading, as chaos_fuzz replays a repro.
   std::optional<sim::chaos::Schedule> schedule;
   bool track_attainment = false;
+  /// Overrides SystemConfig::heat_horizon_intervals (no scenario key).
+  std::optional<double> heat_horizon_intervals;
 };
 
 std::optional<RunOutputs> RunCase(const GoldenCase& c) {
@@ -261,6 +264,9 @@ std::optional<RunOutputs> RunCase(const GoldenCase& c) {
   }
   if (c.schedule.has_value()) {
     sim::chaos::ApplyToFaultParams(*c.schedule, &scenario->system.faults);
+  }
+  if (c.heat_horizon_intervals.has_value()) {
+    scenario->system.heat_horizon_intervals = *c.heat_horizon_intervals;
   }
   core::ClusterSystem system(scenario->system);
   for (const workload::ClassSpec& spec : scenario->classes) {
@@ -306,7 +312,8 @@ std::vector<GoldenCase> GoldenCases() {
     EXPECT_TRUE(file.is_open()) << path;
     std::ostringstream buffer;
     buffer << file.rdbuf();
-    cases.push_back({name, buffer.str() + "\nintervals=6\n", {}, false});
+    cases.push_back(
+        {name, buffer.str() + "\nintervals=6\n", {}, false, {}});
   }
   // Chaos-fuzz configurations: a generated schedule of crashes, gray
   // episodes and partitions over a small multiclass cluster.
@@ -320,7 +327,7 @@ std::vector<GoldenCase> GoldenCases() {
                          "class0_interarrival_ms=40\n"
                          "class1_interarrival_ms=40\n"
                          "chaos_seed=" + std::to_string(chaos_seed) + "\n",
-                     {}, false});
+                     {}, false, {}});
   }
   // The repro-file path: a generated schedule serialized with ToText and
   // parsed back with FromText before it is applied.
@@ -330,7 +337,7 @@ std::vector<GoldenCase> GoldenCases() {
   sim::chaos::Schedule replayed;
   EXPECT_TRUE(sim::chaos::FromText(
       sim::chaos::ToText(sim::chaos::Generate(777u, limits)), &replayed));
-  cases.push_back({"repro-file-777", chaos_base, replayed, false});
+  cases.push_back({"repro-file-777", chaos_base, replayed, false, {}});
   // Burst-loss retransmission timers give the densest same-timestamp
   // collisions; the auditor adds interval-boundary sweeps.
   cases.push_back({"burst-loss+audit",
@@ -339,7 +346,7 @@ std::vector<GoldenCase> GoldenCases() {
                    "net_loss_model=burst\nnet_burst_g2b=0.01\n"
                    "net_burst_b2g=0.3\nnet_loss=0.02\naudit=1\n"
                    "classes=2\nclass1_goal_ms=80\n",
-                   {}, false});
+                   {}, false, {}});
   const std::string mixed =
       chaos_base +
       "class0_interarrival_ms=40\nclass1_interarrival_ms=40\n";
@@ -351,16 +358,31 @@ std::vector<GoldenCase> GoldenCases() {
                        "corrupt_node=1\ncorrupt_at_ms=1500\ncorrupt_count=3\n"
                        "corrupt_salt=9\nscrub=idle\nscrub_interval_ms=500\n"
                        "audit=1\n",
-                   {}, false});
+                   {}, false, {}});
   // Crash faults without and with the corruption keys at rate zero, and
   // with attainment tracking enabled: the invariance checks in the test
   // compare these three.
   const std::string crashes =
       mixed + "fault_mttf_ms=30000\nfault_mttr_ms=5000\n";
-  cases.push_back({"crashes", crashes, {}, false});
+  cases.push_back({"crashes", crashes, {}, false, {}});
   cases.push_back({"crashes+zero-rate-corruption",
-                   crashes + "corrupt=all\ncorrupt_latent=0.25\n", {}, false});
-  cases.push_back({"crashes+attainment", crashes, {}, true});
+                   crashes + "corrupt=all\ncorrupt_latent=0.25\n", {}, false,
+                   {}});
+  cases.push_back({"crashes+attainment", crashes, {}, true, {}});
+  // The bounded-memory heat sweep: a 2-interval horizon over 36 intervals
+  // ages histories out every interval. A crash wipes one node's heat
+  // state, and a partition swallows heat hints that the heal re-reports
+  // after their pages' histories aged out, leaving hint bookkeeping with no
+  // history behind for the sweep to prune.
+  cases.push_back({"heat-sweep+crash+partition",
+                   "nodes=3\ndb_pages=600\ncache_bytes=262144\n"
+                   "interval_ms=1000\nintervals=36\nseed=13\n"
+                   "crash_node=1\ncrash_at_ms=6000\nrecover_at_ms=11000\n"
+                   "partition_nodes=2\npartition_at_ms=15000\n"
+                   "heal_at_ms=24000\ncrash_detect_timeout_ms=2.0\naudit=1\n"
+                   "classes=2\nclass1_goal_ms=60\n"
+                   "class0_interarrival_ms=40\nclass1_interarrival_ms=40\n",
+                   {}, false, 2.0});
   return cases;
 }
 
@@ -407,6 +429,9 @@ constexpr GoldenDigests kGolden[] = {
      0x0000000000000000ull},
     {"crashes+attainment", 88822u, 0x9CE540EC09B15C78ull, 0x02DB7D9E55335C60ull,
      0x0125739A0C539EFEull},
+    // Recorded while the heat sweep still scanned every record.
+    {"heat-sweep+crash+partition", 128279u, 0xCB201FE1350D0344ull,
+     0x48764E36E7240303ull, 0x0000000000000000ull},
 };
 
 TEST(GoldenDigest, EveryCaseReplaysItsPinnedOutputs) {

@@ -1,8 +1,13 @@
 #include "cache/heat.h"
 
 #include <algorithm>
+#include <deque>
+#include <map>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "common/rng.h"
 
 namespace memgoal::cache {
 namespace {
@@ -140,6 +145,127 @@ TEST(HeatTrackerTest, LongScanStaysBoundedUnderPeriodicEviction) {
             static_cast<size_t>(kHorizonMs / kStepMs) + 500 + 1);
   EXPECT_GE(max_tracked, static_cast<size_t>(kHorizonMs / kStepMs) / 2);
 }
+
+// The full-scan pruning HeatTracker::EvictColderThan replaced, over the
+// plainest possible history store: the oracle the aging heap must agree
+// with on every sweep.
+class FullScanHeatTracker {
+ public:
+  explicit FullScanHeatTracker(int k) : k_(k) {}
+
+  void RecordAccess(PageId page, sim::SimTime now) {
+    History& h = history_[page];
+    h.times.push_back(now);
+    if (static_cast<int>(h.times.size()) > k_) h.times.pop_front();
+    ++h.count;
+  }
+  void Forget(PageId page) { history_.erase(page); }
+
+  double HeatOf(PageId page, sim::SimTime now) const {
+    auto it = history_.find(page);
+    if (it == history_.end()) return 0.0;
+    const int m = static_cast<int>(it->second.times.size());
+    return static_cast<double>(m) / (now - it->second.times.front() + 1.0);
+  }
+  sim::SimTime BackwardKTime(PageId page) const {
+    auto it = history_.find(page);
+    return it == history_.end() ? 0.0 : it->second.times.front();
+  }
+  int AccessCount(PageId page) const {
+    auto it = history_.find(page);
+    return it == history_.end() ? 0 : it->second.count;
+  }
+  size_t tracked_pages() const { return history_.size(); }
+
+  std::vector<PageId> EvictColderThan(
+      sim::SimTime horizon, const std::function<bool(PageId)>& retain) {
+    std::vector<PageId> evicted;
+    for (auto it = history_.begin(); it != history_.end();) {
+      if (it->second.times.front() < horizon && !retain(it->first)) {
+        evicted.push_back(it->first);
+        it = history_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    return evicted;
+  }
+
+ private:
+  struct History {
+    std::deque<sim::SimTime> times;  // last up-to-K access times, oldest first
+    int count = 0;
+  };
+  int k_;
+  std::map<PageId, History> history_;
+};
+
+class HeatAgingEquivalenceTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(HeatAgingEquivalenceTest, RandomOpsMatchFullScanOracle) {
+  const int k = GetParam();
+  constexpr PageId kPages = 48;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    common::Rng rng(seed * 1000 + static_cast<uint64_t>(k));
+    HeatTracker tracker(k, 1.0);
+    FullScanHeatTracker oracle(k);
+    // Even seeds churn: Forget-heavy with rare sweeps, so stale aging
+    // entries pile up and the heap is rebuilt from the live histories.
+    const bool churn = seed % 2 == 0;
+    const double sweep_share = churn ? 0.02 : 0.12;
+    const double forget_share = churn ? 0.3 : 0.08;
+    sim::SimTime now = 0.0;
+    size_t sweeps_with_evictions = 0;
+    for (int op = 0; op < 3000; ++op) {
+      // Same-instant steps are common, as in a simulation.
+      if (rng.NextDouble() < 0.6) now += rng.Exponential(3.0);
+      // A small page universe with a hot subset: pages age out, get
+      // evicted and are re-created by later accesses.
+      const PageId page = static_cast<PageId>(
+          rng.NextDouble() < 0.5 ? rng.UniformInt(0, 7)
+                                 : rng.UniformInt(0, kPages - 1));
+      const double action = rng.NextDouble();
+      if (action >= sweep_share + forget_share) {
+        oracle.RecordAccess(page, now);
+        if (rng.NextDouble() < 0.5) {
+          tracker.RecordAccess(page, now);
+        } else {
+          ASSERT_EQ(tracker.RecordAndHeat(page, now),
+                    oracle.HeatOf(page, now));
+        }
+      } else if (action >= sweep_share) {
+        tracker.Forget(page);
+        oracle.Forget(page);
+      } else {
+        const sim::SimTime horizon = now - rng.Uniform(0.0, 60.0);
+        // Random residency per sweep; sometimes nothing is retained.
+        std::vector<bool> resident(kPages);
+        const double share = rng.NextDouble() < 0.2 ? 0.0 : rng.NextDouble();
+        for (PageId p = 0; p < kPages; ++p) {
+          resident[p] = rng.NextDouble() < share;
+        }
+        const auto retain = [&](PageId p) { return bool{resident[p]}; };
+        std::vector<PageId> evicted;
+        const size_t count = tracker.EvictColderThan(horizon, retain, &evicted);
+        std::vector<PageId> expected = oracle.EvictColderThan(horizon, retain);
+        std::sort(evicted.begin(), evicted.end());
+        ASSERT_EQ(count, expected.size()) << "seed " << seed << " op " << op;
+        ASSERT_EQ(evicted, expected) << "seed " << seed << " op " << op;
+        if (!expected.empty()) ++sweeps_with_evictions;
+      }
+      ASSERT_EQ(tracker.tracked_pages(), oracle.tracked_pages());
+      for (PageId p = 0; p < kPages; ++p) {
+        ASSERT_EQ(tracker.AccessCount(p), oracle.AccessCount(p));
+        ASSERT_EQ(tracker.BackwardKTime(p), oracle.BackwardKTime(p));
+        ASSERT_EQ(tracker.HeatOf(p, now), oracle.HeatOf(p, now));
+      }
+    }
+    EXPECT_GT(sweeps_with_evictions, 10u) << "seed " << seed;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Ks, HeatAgingEquivalenceTest,
+                         ::testing::Values(1, 2, 3, 5));
 
 }  // namespace
 }  // namespace memgoal::cache

@@ -262,6 +262,57 @@ TYPED_TEST(QueueConformance, ReinsertionAfterPopRefiles) {
   }
 }
 
+TEST(CalendarQueueRetune, WidthRecoversAfterMicrosecondBurstDrains) {
+  // Bimodal population: a same-instant-like burst at the head (events 1 us
+  // apart) followed by a stream of events about 100 ms apart. The burst
+  // drives the derived width to microseconds; once it drains, every pop
+  // walks a whole year of empty days (and falls back to the head scan),
+  // and the walk-cost retune must re-derive the width from the stream.
+  CalendarQueue queue;
+  ReferenceModel model;
+  std::vector<std::unique_ptr<EventNode>> nodes;
+  uint64_t seq = 0;
+  const auto insert = [&](SimTime time) {
+    nodes.push_back(std::make_unique<EventNode>());
+    EventNode* node = nodes.back().get();
+    node->time = time;
+    node->seq = seq++;
+    queue.Insert(node);
+    model.Insert(node);
+  };
+  const auto pop = [&]() {
+    EventNode* expected = model.PopMin();
+    EventNode* actual = queue.PopMin();
+    EXPECT_EQ(actual, expected);
+    return actual;
+  };
+  common::Rng rng(0xB1Du);
+  constexpr int kBurst = 256;
+  constexpr int kStream = 128;
+  constexpr SimTime kStreamGapMs = 100.0;
+  for (int i = 0; i < kBurst; ++i) insert(1000.0 + i * 1e-3);
+  SimTime last = 2000.0;
+  for (int i = 0; i < kStream; ++i) {
+    last += kStreamGapMs * (0.5 + rng.NextDouble());
+    insert(last);
+  }
+  const double burst_width = queue.width();
+  ASSERT_LT(burst_width, 0.01);  // collapsed onto the burst's spacing
+  for (int i = 0; i < kBurst; ++i) ASSERT_NE(pop(), nullptr);
+
+  // Hold model over the stream: each pop schedules one successor about a
+  // stream's length ahead, keeping the population and its spread steady.
+  for (int i = 0; i < 10000; ++i) {
+    ASSERT_NE(pop(), nullptr);
+    last += kStreamGapMs * (0.5 + rng.NextDouble());
+    insert(last);
+  }
+  EXPECT_GT(queue.width(), 1000.0 * burst_width);
+  EXPECT_GT(queue.width(), kStreamGapMs / 10.0);
+  while (model.size() > 0) ASSERT_NE(pop(), nullptr);
+  EXPECT_EQ(queue.size(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Layer 2: simulator-level properties.
 
