@@ -17,6 +17,14 @@ namespace memgoal::core {
 
 namespace {
 
+// `{"<key>":<value>}`: the argument object of the one-field access spans.
+std::string SpanArg(const char* key, uint64_t value) {
+  char args[48];
+  std::snprintf(args, sizeof(args), "{\"%s\":%llu}", key,
+                static_cast<unsigned long long>(value));
+  return args;
+}
+
 cache::CostModel DeriveCostModel(const SystemConfig& config) {
   // What the on-line cost learning of §6 converges to under stable load:
   // the service-time components of each storage level, excluding queueing.
@@ -275,13 +283,6 @@ void Node::AfterInsert(PageId page) {
   }
 }
 
-sim::Task<void> Node::UseCpu(double instructions,
-                             sim::Resource::UseTiming* timing) {
-  // Use() applies the node's current slowdown factor, so a degraded node's
-  // CPU work stretches along with its disk and network latency.
-  co_await cpu_.Use(system_->config().CpuMs(instructions), timing);
-}
-
 bool Node::CrashedSince(uint64_t epoch) const {
   return system_->NodeEpoch(id_) != epoch || !system_->NodeUp(id_);
 }
@@ -345,7 +346,6 @@ sim::Task<void> Node::FetchAttempt(std::shared_ptr<FetchState> state,
       target, system_->simulator().Now() - state->started_ms);
   if (!state->delivered) {
     state->delivered = true;
-    state->server = target;
     state->flaw = flaw;
     if (state->wake != nullptr) state->wake->Set();
   }
@@ -361,267 +361,232 @@ sim::Task<void> Node::FetchPhaseTimer(std::shared_ptr<FetchState> state,
 sim::Task<StorageLevel> Node::AccessPage(ClassId klass, PageId page,
                                          obs::RequestBudget* budget) {
   const SystemConfig& config = system_->config();
-  net::Network& network = system_->network();
-  net::PageDirectory& directory = system_->directory();
-  const uint64_t start_epoch = system_->NodeEpoch(id_);
-
-  // Per-phase latency attribution. Only waits on the requester's own stack
-  // are attributed here; spawned fetch attempts fall under kFetchWait (the
-  // wall-clock window the requester spent waiting on deliveries). Timing
-  // out-params are pure Now() reads — no events, no RNG — so a budgeted run
-  // stays bit-identical to an unbudgeted one.
-  sim::Resource::UseTiming cpu_timing;
-  sim::Resource::UseTiming* const cpu_out =
-      budget != nullptr ? &cpu_timing : nullptr;
-  const auto fold_cpu = [&] {
-    if (budget != nullptr) {
-      budget->Add(obs::BudgetPhase::kCpuWait, cpu_timing.wait_ms);
-      budget->Add(obs::BudgetPhase::kCpuService, cpu_timing.service_ms);
-    }
-  };
-
-  // Request spans: one trace track per page access, phases as sub-spans.
-  // When no tracer is attached or it is disabled, every emission below
-  // reduces to this one bool test.
   obs::Tracer* tracer = system_->tracer();
-  const bool tracing = tracer != nullptr && tracer->enabled();
-  const uint64_t track = tracing ? tracer->NextTrack() : 0;
-  const sim::SimTime access_start = system_->simulator().Now();
-  const auto emit_access_span = [&](StorageLevel level) {
-    char args[96];
-    std::snprintf(args, sizeof(args),
-                  "{\"class\":%u,\"page\":%u,\"level\":\"%s\"}",
-                  static_cast<unsigned>(klass), static_cast<unsigned>(page),
-                  StorageLevelName(level));
-    tracer->Complete("access", "access", id_, track, access_start,
-                     system_->simulator().Now(), args);
-  };
+  if (tracer != nullptr && !tracer->enabled()) tracer = nullptr;
+  const AccessContext access{klass,
+                             page,
+                             system_->NodeEpoch(id_),
+                             budget,
+                             tracer,
+                             tracer != nullptr ? tracer->NextTrack() : 0,
+                             system_->simulator().Now()};
 
+  // The CPU's Use() applies the node's current slowdown factor, so a
+  // degraded node's CPU work stretches along with its disk and network.
   RecordAccessHeat(klass, page);
-  co_await UseCpu(config.instr_buffer_access, cpu_out);
-  if (CrashedSince(start_epoch)) co_return StorageLevel::kLocalBuffer;
-
-  cache::NodeCache::AccessResult access = cache_->OnAccess(klass, page);
-  HandleDrops(access.dropped);
-  if (tracing) {
-    tracer->Complete("cache_probe", "access", id_, track, access_start,
-                     system_->simulator().Now(),
-                     access.hit ? "{\"hit\":true}" : "{\"hit\":false}");
-  }
-  if (access.hit) {
-    // Verify-on-read: a detectably corrupt frame is quarantined and the
-    // access falls through to the fetch path below — the repair ladder for
-    // cached corruption is simply a re-fetch from a replica or the disk.
-    storage::Flaw hit_flaw = storage::Flaw::kNone;
-    if (system_->integrity_.any_marked()) {
-      hit_flaw = system_->integrity_.FrameFlaw(id_, page);
-    }
-    bool serve_local = true;
-    if (hit_flaw == storage::Flaw::kDetectable) {
-      if (config.injected_bug == InjectedBug::kSkipVerify) {
-        ++system_->corrupt_served_;  // bug: the bad frame is consumed as-is
-      } else {
-        ++system_->corrupt_detected_;
-        system_->QuarantineFrame(id_, page);
-        serve_local = false;
-      }
-    } else if (hit_flaw == storage::Flaw::kLatent) {
-      ++system_->latent_served_;  // sailed past the checksum; modeled only
-    }
-    if (serve_local) {
-      system_->CountAccess(klass, StorageLevel::kLocalBuffer);
-      if (tracing) emit_access_span(StorageLevel::kLocalBuffer);
-      fold_cpu();
-      co_return StorageLevel::kLocalBuffer;
-    }
+  co_await cpu_.Use(config.CpuMs(config.instr_buffer_access), budget);
+  if (CrashedSince(access.start_epoch)) co_return StorageLevel::kLocalBuffer;
+  if (ProbeLocal(access)) {
+    EndAccess(access, StorageLevel::kLocalBuffer);
+    co_return StorageLevel::kLocalBuffer;
   }
 
-  co_await UseCpu(config.instr_io_setup, cpu_out);
-  const NodeId home = system_->database().HomeOf(page);
-  const uint32_t page_msg = config.page_bytes + config.page_header_bytes;
-  StorageLevel level;
-  // Integrity of the content this fetch ends up consuming: set from the
-  // serving frame's flaw on a remote-buffer delivery, or from the disk
-  // verify on the fallback paths.
-  storage::Flaw fetched_flaw = storage::Flaw::kNone;
+  co_await cpu_.Use(config.CpuMs(config.instr_io_setup), budget);
+  Fetched fetched = co_await FetchRemote(access);
+  if (!fetched.delivered) co_await ReadFromDisk(access, &fetched);
+  // Our own node may have crashed while we fetched: the wiped (or freshly
+  // recovered) cache must not receive the stale page, and the access is not
+  // counted (the operation fails).
+  if (CrashedSince(access.start_epoch)) co_return fetched.level;
+  Install(access, fetched);
+  co_return fetched.level;
+}
 
-  // Remote-buffer fetch with per-request deadlines and one hedged retry:
-  // the requester tries the best-ranked copy holder, and if the page has
-  // not arrived within `crash_detect_timeout_ms` it hedges to the
-  // next-best replica. Silence *is* the failure detector — a dead or
-  // rebooted peer never answers, a merely degraded one answers late (the
-  // late page still completes and feeds the health score, it just loses
-  // the race). After the hedge budget an exponential backoff precedes the
-  // disk fallback. Disks survive crashes (the NOW's disks are dual-ported),
-  // so a dead home's pages stay readable from its disk at remote-disk cost.
+bool Node::ProbeLocal(const AccessContext& access) {
+  const cache::NodeCache::AccessResult result =
+      cache_->OnAccess(access.klass, access.page);
+  HandleDrops(result.dropped);
+  if (access.tracer != nullptr) {
+    access.tracer->Complete("cache_probe", "access", id_, access.track,
+                            access.start_ms, system_->simulator().Now(),
+                            result.hit ? "{\"hit\":true}" : "{\"hit\":false}");
+  }
+  if (!result.hit) return false;
+  // Verify-on-read: a detectably corrupt frame is quarantined and the
+  // access falls through to the fetch stages — the repair ladder for cached
+  // corruption is simply a re-fetch from a replica or the disk.
+  storage::Flaw flaw = storage::Flaw::kNone;
+  if (system_->integrity_.any_marked()) {
+    flaw = system_->integrity_.FrameFlaw(id_, access.page);
+  }
+  if (flaw == storage::Flaw::kDetectable) {
+    if (system_->config().injected_bug != InjectedBug::kSkipVerify) {
+      ++system_->corrupt_detected_;
+      system_->QuarantineFrame(id_, access.page);
+      return false;
+    }
+    ++system_->corrupt_served_;  // bug: the bad frame is consumed as-is
+  } else if (flaw == storage::Flaw::kLatent) {
+    ++system_->latent_served_;  // sailed past the checksum; modeled only
+  }
+  return true;
+}
+
+sim::Task<Node::Fetched> Node::FetchRemote(const AccessContext& access) {
+  // Per-request deadlines and one hedged retry: the requester tries the
+  // best-ranked copy holder, and if the page has not arrived within
+  // `crash_detect_timeout_ms` it hedges to the next-best replica. Silence
+  // *is* the failure detector — a dead or rebooted peer never answers, a
+  // merely degraded one answers late (the late page still completes and
+  // feeds the health score, it just loses the race).
+  const SystemConfig& config = system_->config();
+  sim::Simulator& simulator = system_->simulator();
   net::PageDirectory::CopyList candidates;
-  directory.RankedCopies(page, id_, &candidates);
-  if (tracing) {
-    char args[48];
-    std::snprintf(args, sizeof(args), "{\"copies\":%zu}", candidates.size());
-    tracer->Instant("dir_lookup", "access", id_, track,
-                    system_->simulator().Now(), args);
+  system_->directory().RankedCopies(access.page, id_, &candidates);
+  if (access.tracer != nullptr) {
+    access.tracer->Instant("dir_lookup", "access", id_, access.track,
+                           simulator.Now(),
+                           SpanArg("copies", candidates.size()));
   }
+  Fetched fetched;
+  fetched.any_copy = !candidates.empty();
+  if (!fetched.any_copy) co_return fetched;
+  const NodeId home = system_->database().HomeOf(access.page);
   auto state = std::allocate_shared<FetchState>(
       sim::FramePoolAllocator<FetchState>());
-  state->started_ms = system_->simulator().Now();
-  int failed_attempts = 0;
+  state->started_ms = simulator.Now();
   const size_t max_attempts = std::min<size_t>(candidates.size(), 2);
   for (size_t phase = 0; phase < max_attempts && !state->delivered;
        ++phase) {
     const NodeId target = candidates[phase];
-    if (tracing && phase > 0) {
-      char args[48];
-      std::snprintf(args, sizeof(args), "{\"target\":%u}",
-                    static_cast<unsigned>(target));
-      tracer->Instant("hedge", "access", id_, track,
-                      system_->simulator().Now(), args);
+    if (access.tracer != nullptr && phase > 0) {
+      access.tracer->Instant("hedge", "access", id_, access.track,
+                             simulator.Now(), SpanArg("target", target));
     }
-    state->phase_events.push_back(
-        std::make_unique<sim::Event>(&system_->simulator()));
+    state->phase_events.push_back(std::make_unique<sim::Event>(&simulator));
     sim::Event* event = state->phase_events.back().get();
     state->wake = event;
     const bool via_home = home != id_ && target != home;
-    system_->simulator().Spawn(FetchAttempt(state, target, page, via_home));
-    system_->simulator().Spawn(
+    simulator.Spawn(FetchAttempt(state, target, access.page, via_home));
+    simulator.Spawn(
         FetchPhaseTimer(state, event, config.crash_detect_timeout_ms));
     co_await event->Wait();
     if (!state->delivered) {
-      ++failed_attempts;
+      ++fetched.timeouts;
       system_->RecordFetchTimeout(target, config.crash_detect_timeout_ms);
-      if (tracing) {
-        char args[48];
-        std::snprintf(args, sizeof(args), "{\"target\":%u}",
-                      static_cast<unsigned>(target));
-        tracer->Instant("fetch_timeout", "access", id_, track,
-                        system_->simulator().Now(), args);
+      if (access.tracer != nullptr) {
+        access.tracer->Instant("fetch_timeout", "access", id_, access.track,
+                               simulator.Now(), SpanArg("target", target));
       }
     }
   }
   state->wake = nullptr;
-  state->abandoned = !state->delivered;
-  if (tracing && max_attempts > 0) {
-    tracer->Complete("fetch_wait", "access", id_, track, state->started_ms,
-                     system_->simulator().Now(),
-                     state->delivered ? "{\"delivered\":true}"
-                                      : "{\"delivered\":false}");
-  }
-  if (budget != nullptr) {
-    budget->Add(obs::BudgetPhase::kFetchWait,
-                system_->simulator().Now() - state->started_ms);
-  }
+  EndPhase(access, obs::BudgetPhase::kFetchWait, state->started_ms,
+           state->delivered ? "{\"delivered\":true}" : "{\"delivered\":false}");
+  fetched.delivered = state->delivered;
+  fetched.flaw = state->flaw;
+  co_return fetched;
+}
 
-  if (state->delivered) {
-    level = StorageLevel::kRemoteBuffer;
-    fetched_flaw = state->flaw;
+sim::Task<void> Node::ReadFromDisk(const AccessContext& access,
+                                   Fetched* fetched) {
+  // Disks survive crashes (the NOW's disks are dual-ported), so a dead
+  // home's pages stay readable from its disk at remote-disk cost.
+  const SystemConfig& config = system_->config();
+  sim::Simulator& simulator = system_->simulator();
+  net::Network& network = system_->network();
+  if (fetched->timeouts > 0) {
+    // Deadline(s) expired: brief exponential backoff, then the disk.
+    const sim::SimTime backoff_start = simulator.Now();
+    co_await simulator.Delay(
+        std::min(config.fetch_backoff_base_ms *
+                     std::pow(2.0, fetched->timeouts - 1),
+                 config.fetch_backoff_max_ms));
+    EndPhase(access, obs::BudgetPhase::kBackoff, backoff_start);
+    system_->CountFetchFallback(access.klass);
+  }
+  const NodeId home = system_->database().HomeOf(access.page);
+  const sim::SimTime disk_start = simulator.Now();
+  if (home == id_) {
+    co_await disk_.ReadPage(access.budget);
+    fetched->flaw = co_await system_->VerifyDiskRead(access.page);
+    fetched->level = StorageLevel::kLocalDisk;
   } else {
-    if (failed_attempts > 0) {
-      // Deadline(s) expired: brief exponential backoff, then the disk.
-      const double backoff =
-          std::min(config.fetch_backoff_base_ms *
-                       std::pow(2.0, failed_attempts - 1),
-                   config.fetch_backoff_max_ms);
-      const sim::SimTime backoff_start = system_->simulator().Now();
-      co_await system_->simulator().Delay(backoff);
-      if (tracing) {
-        tracer->Complete("backoff", "access", id_, track, backoff_start,
-                         system_->simulator().Now());
-      }
-      if (budget != nullptr) {
-        budget->Add(obs::BudgetPhase::kBackoff,
-                    system_->simulator().Now() - backoff_start);
-      }
-      system_->CountFetchFallback(klass);
-    }
-    sim::Resource::UseTiming disk_timing;
-    sim::Resource::UseTiming* const disk_out =
-        budget != nullptr ? &disk_timing : nullptr;
-    net::Network::TransferTiming net_timing;
-    net::Network::TransferTiming* const net_out =
-        budget != nullptr ? &net_timing : nullptr;
-    const sim::SimTime disk_start = system_->simulator().Now();
-    if (home == id_) {
-      co_await disk_.ReadPage(disk_out);
-      fetched_flaw = co_await system_->VerifyDiskRead(page);
-      level = StorageLevel::kLocalDisk;
-    } else {
-      if (candidates.empty()) {
-        // No cached copy anywhere: the classic ask-the-home disk read. A
-        // dead home — or one unreachable across a partition cut — is
-        // detected by one deadline wait (shared by the whole request; it is
-        // the only wait this path pays).
-        const bool home_alive = system_->NodeUp(home);
-        const bool asked = co_await network.Transfer(
-            id_, home, config.control_msg_bytes, net::TrafficClass::kControl,
-            /*via_storage_bus=*/false, net_out);
-        if (!asked || !home_alive || !system_->NodeUp(home)) {
-          co_await system_->simulator().Delay(config.crash_detect_timeout_ms);
-          if (budget != nullptr) {
-            budget->Add(obs::BudgetPhase::kFetchWait,
-                        config.crash_detect_timeout_ms);
-          }
-          system_->CountFetchFallback(klass);
+    if (!fetched->any_copy) {
+      // No cached copy anywhere: the classic ask-the-home disk read. A dead
+      // home — or one unreachable across a partition cut — is detected by
+      // one deadline wait (shared by the whole request; it is the only wait
+      // this path pays).
+      const bool home_alive = system_->NodeUp(home);
+      const bool asked = co_await network.Transfer(
+          id_, home, config.control_msg_bytes, net::TrafficClass::kControl,
+          /*via_storage_bus=*/false, access.budget);
+      if (!asked || !home_alive || !system_->NodeUp(home)) {
+        co_await simulator.Delay(config.crash_detect_timeout_ms);
+        if (access.budget != nullptr) {
+          access.budget->Add(obs::BudgetPhase::kFetchWait,
+                             config.crash_detect_timeout_ms);
         }
+        system_->CountFetchFallback(access.klass);
       }
-      co_await system_->node(home).disk().ReadPage(disk_out);
-      fetched_flaw = co_await system_->VerifyDiskRead(page);
-      // The NOW's disks are dual-ported: the page travels over the storage
-      // bus, which a LAN partition does not sever. Bandwidth/queueing of the
-      // shared medium still applies.
-      co_await network.Transfer(home, id_, page_msg,
-                                net::TrafficClass::kPage,
-                                /*via_storage_bus=*/true, net_out);
-      level = StorageLevel::kRemoteDisk;
     }
-    if (budget != nullptr) {
-      budget->Add(obs::BudgetPhase::kDiskWait, disk_timing.wait_ms);
-      budget->Add(obs::BudgetPhase::kDiskService, disk_timing.service_ms);
-      budget->Add(obs::BudgetPhase::kNetWait, net_timing.wait_ms);
-      budget->Add(obs::BudgetPhase::kNetTransfer, net_timing.transfer_ms);
-    }
-    if (tracing) {
-      char args[48];
-      std::snprintf(args, sizeof(args), "{\"home\":%u}",
-                    static_cast<unsigned>(home));
-      tracer->Complete("disk_read", "access", id_, track, disk_start,
-                       system_->simulator().Now(), args);
-    }
+    co_await system_->node(home).disk().ReadPage(access.budget);
+    fetched->flaw = co_await system_->VerifyDiskRead(access.page);
+    // The NOW's disks are dual-ported: the page travels over the storage
+    // bus, which a LAN partition does not sever. Bandwidth/queueing of the
+    // shared medium still applies.
+    co_await network.Transfer(home, id_,
+                              config.page_bytes + config.page_header_bytes,
+                              net::TrafficClass::kPage,
+                              /*via_storage_bus=*/true, access.budget);
+    fetched->level = StorageLevel::kRemoteDisk;
   }
+  if (access.tracer != nullptr) {
+    access.tracer->Complete("disk_read", "access", id_, access.track,
+                            disk_start, simulator.Now(),
+                            SpanArg("home", home));
+  }
+}
 
-  // Our own node may have crashed while we fetched: the wiped (or freshly
-  // recovered) cache must not receive the stale page, and the access is not
-  // counted (the operation fails).
-  if (CrashedSince(start_epoch)) co_return level;
-
+void Node::Install(const AccessContext& access, const Fetched& fetched) {
   // A concurrent operation may have cached the page while we fetched.
-  if (!cache_->IsCached(page)) {
-    cache::NodeCache::AccessResult insert = cache_->InsertFetched(klass, page);
+  if (!cache_->IsCached(access.page)) {
+    const cache::NodeCache::AccessResult insert =
+        cache_->InsertFetched(access.klass, access.page);
     HandleDrops(insert.dropped);
     if (insert.inserted) {
-      AfterInsert(page);
+      AfterInsert(access.page);
       // The fetched bits are now this frame's bits: a flawed source
       // silently propagates its flaw into our copy.
-      if (fetched_flaw != storage::Flaw::kNone &&
-          system_->integrity_.MarkFrame(id_, page, fetched_flaw) &&
-          fetched_flaw == storage::Flaw::kLatent) {
+      if (fetched.flaw != storage::Flaw::kNone &&
+          system_->integrity_.MarkFrame(id_, access.page, fetched.flaw) &&
+          fetched.flaw == storage::Flaw::kLatent) {
         ++system_->latent_propagated_;
       }
     }
   } else {
-    cache::NodeCache::AccessResult touch = cache_->OnAccess(klass, page);
-    HandleDrops(touch.dropped);
+    HandleDrops(cache_->OnAccess(access.klass, access.page).dropped);
   }
   // What the client actually consumed: kDetectable here means a verify was
   // skipped somewhere (the no-corrupt-page-served audit's ground truth).
-  if (fetched_flaw == storage::Flaw::kDetectable) {
+  if (fetched.flaw == storage::Flaw::kDetectable) {
     ++system_->corrupt_served_;
-  } else if (fetched_flaw == storage::Flaw::kLatent) {
+  } else if (fetched.flaw == storage::Flaw::kLatent) {
     ++system_->latent_served_;
   }
-  system_->CountAccess(klass, level);
-  if (tracing) emit_access_span(level);
-  fold_cpu();
-  co_return level;
+  EndAccess(access, fetched.level);
+}
+
+void Node::EndAccess(const AccessContext& access, StorageLevel level) {
+  system_->CountAccess(access.klass, level);
+  if (access.tracer == nullptr) return;
+  char args[96];
+  std::snprintf(args, sizeof(args),
+                "{\"class\":%u,\"page\":%u,\"level\":\"%s\"}",
+                static_cast<unsigned>(access.klass),
+                static_cast<unsigned>(access.page), StorageLevelName(level));
+  access.tracer->Complete("access", "access", id_, access.track,
+                          access.start_ms, system_->simulator().Now(), args);
+}
+
+void Node::EndPhase(const AccessContext& access, obs::BudgetPhase phase,
+                    sim::SimTime start_ms, std::string args) {
+  const sim::SimTime now = system_->simulator().Now();
+  if (access.tracer != nullptr) {
+    access.tracer->Complete(obs::BudgetPhaseName(phase), "access", id_,
+                            access.track, start_ms, now, std::move(args));
+  }
+  if (access.budget != nullptr) access.budget->Add(phase, now - start_ms);
 }
 
 // --------------------------------------------------------------------------
@@ -1205,8 +1170,11 @@ sim::Task<void> ClusterSystem::RunOperation(
   const bool budgeting = attainment != nullptr && attainment->enabled();
   obs::RequestBudget budget;
   for (PageId page : pages) {
+    // Each access charges a fresh budget that is then merged, so every
+    // phase is summed per access first (a fixed floating-point order).
+    obs::RequestBudget access;
     co_await nodes_[node]->AccessPage(klass, page,
-                                      budgeting ? &budget : nullptr);
+                                      budgeting ? &access : nullptr);
     if (fault_injector_.epoch(node) != epoch ||
         !fault_injector_.IsUp(node)) {
       // The node crashed under this operation: it fails (neither retried
@@ -1214,6 +1182,7 @@ sim::Task<void> ClusterSystem::RunOperation(
       Accumulator(klass, node).failed++;
       co_return;
     }
+    if (budgeting) budget.Merge(access);
   }
   IntervalAccumulator& acc = Accumulator(klass, node);
   acc.completed++;

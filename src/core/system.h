@@ -297,12 +297,12 @@ class Node {
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
-  /// Executes one page access by class `klass` end to end: local lookup,
-  /// remote-cache / disk fetch via the home-based protocol, and §6
-  /// placement. Returns the storage level that served the access. A
-  /// non-null `budget` receives the per-phase latency attribution of the
-  /// access (CPU/disk queue-wait and service, fetch wait, backoff, network
-  /// queueing/transfer on the requester's own stack).
+  /// Executes one page access by class `klass` end to end, in four stages:
+  /// local probe and verify, the remote fetch ladder, the disk fallback,
+  /// and §6 placement (install). Returns the storage level that served the
+  /// access. A non-null `budget` is charged the per-phase latency of the
+  /// access: CPU/disk queue-wait and service, fetch wait, backoff, and
+  /// network queueing/transfer on the requester's own stack.
   sim::Task<StorageLevel> AccessPage(ClassId klass, PageId page,
                                      obs::RequestBudget* budget = nullptr);
 
@@ -345,13 +345,9 @@ class Node {
   /// its own one-shot event (stored here so it outlives the requester).
   struct FetchState {
     sim::SimTime started_ms = 0.0;
-    /// Some attempt delivered the page.
+    /// Some attempt delivered the page. A delivery after the requester
+    /// gave up and went to disk only feeds the health score.
     bool delivered = false;
-    /// The requester gave up and went to disk; late deliveries only feed
-    /// the health score.
-    bool abandoned = false;
-    /// Node whose copy was delivered first (valid when delivered).
-    NodeId server = 0;
     /// Integrity of the delivered copy (valid when delivered): kLatent
     /// when the serving frame carried a flaw past the checksum (it
     /// propagates into the requester's frame), kDetectable only under the
@@ -375,6 +371,61 @@ class Node {
   sim::Task<void> FetchPhaseTimer(std::shared_ptr<FetchState> state,
                                   sim::Event* phase, sim::SimTime delay);
 
+  /// What every stage of one AccessPage call shares.
+  struct AccessContext {
+    ClassId klass;
+    PageId page;
+    /// Node epoch at the start; a change means this node crashed meanwhile.
+    uint64_t start_epoch;
+    /// Latency budget the access charges; null when not budgeted.
+    obs::RequestBudget* budget;
+    /// Attached and enabled tracer, else null: with tracing off every
+    /// emission reduces to one pointer test.
+    obs::Tracer* tracer;
+    /// Trace track of this access (its phases are sub-spans on it).
+    uint64_t track;
+    sim::SimTime start_ms;
+  };
+
+  /// What the fetch stages found: where the consumed page came from and
+  /// the integrity of its content, plus what the ladder left to the disk
+  /// fallback.
+  struct Fetched {
+    StorageLevel level = StorageLevel::kRemoteBuffer;
+    storage::Flaw flaw = storage::Flaw::kNone;
+    /// The ladder delivered a cached copy.
+    bool delivered = false;
+    /// Deadlines that expired without a delivery.
+    int timeouts = 0;
+    /// The directory listed at least one cached copy.
+    bool any_copy = false;
+  };
+
+  // The four stages of AccessPage, in order. The probe and the install
+  // never suspend, so they are plain functions: a local hit awaits nothing
+  // but its CPU work.
+
+  /// Stage 1: cache lookup plus verify-on-read of a hit. True when the
+  /// local frame serves the access; a detectably corrupt frame is
+  /// quarantined and the access falls through to the fetch stages.
+  bool ProbeLocal(const AccessContext& access);
+  /// Stage 2: fetch from the best-ranked cached copy, hedging once to the
+  /// next-best replica when a per-request deadline expires.
+  sim::Task<Fetched> FetchRemote(const AccessContext& access);
+  /// Stage 3: after a failed ladder, back off and read the page from its
+  /// home disk (over the storage bus when the home is remote).
+  sim::Task<void> ReadFromDisk(const AccessContext& access, Fetched* fetched);
+  /// Stage 4: places the fetched page in this node's cache, then ends the
+  /// access.
+  void Install(const AccessContext& access, const Fetched& fetched);
+
+  /// Counts the served access and closes its trace span.
+  void EndAccess(const AccessContext& access, StorageLevel level);
+  /// Closes a phase that is both a trace span (named after the phase) and
+  /// a budget phase, started at `start_ms`.
+  void EndPhase(const AccessContext& access, obs::BudgetPhase phase,
+                sim::SimTime start_ms, std::string args = std::string());
+
   /// Resets the node's volatile heat bookkeeping after a crash (the cache
   /// itself is wiped via NodeCache::Clear). Tracker objects are reassigned
   /// in place so pointers held by replacement policies stay valid.
@@ -388,8 +439,6 @@ class Node {
   /// in this node's cache, and the matching stale hint bookkeeping.
   void SweepHeatHistory(sim::SimTime horizon);
 
-  sim::Task<void> UseCpu(double instructions,
-                         sim::Resource::UseTiming* timing = nullptr);
   sim::Task<void> DeliverHeatReport(NodeId home, PageId page, double heat);
   void RecordAccessHeat(ClassId klass, PageId page);
   /// Threshold-based heat dissemination to the page's home (§6). Runs on

@@ -8,9 +8,10 @@ namespace memgoal::obs {
 /// modeled NOW: CPU and disk split into queue wait vs. service, the shared
 /// network medium into queue wait vs. transmission+latency, plus the
 /// request-level phases the access path introduces on top — the hedged
-/// remote-fetch window, the post-fetch backoff, and (for transactions) lock
-/// waits and WAL forces. kResidual absorbs whatever the instrumented spans
-/// did not cover (e.g. inline repair work), so a budget always sums to the
+/// remote-fetch window and the post-fetch backoff. kLockWait and kWalForce
+/// are columns of the export schema only: transactions are not budgeted,
+/// so they read 0. kResidual absorbs whatever the instrumented spans did
+/// not cover (e.g. inline repair work), so a budget always sums to the
 /// measured response time exactly by construction.
 enum class BudgetPhase : int {
   kCpuWait = 0,
@@ -32,13 +33,19 @@ inline constexpr int kNumBudgetPhases = 11;
 const char* BudgetPhaseName(BudgetPhase phase);
 
 /// One request's latency budget: sim-milliseconds per phase. Plain
-/// accumulator struct — the access path fills it through an optional
-/// pointer, so a null budget keeps the hot path at one branch per site.
+/// accumulator struct — the resources, the network and the access path
+/// charge it through an optional pointer, so a null budget keeps the hot
+/// path at one branch per site.
 struct RequestBudget {
   double phase_ms[kNumBudgetPhases] = {};
 
   void Add(BudgetPhase phase, double ms) {
     phase_ms[static_cast<int>(phase)] += ms;
+  }
+
+  /// Adds every phase of `other` (e.g. one access into its operation).
+  void Merge(const RequestBudget& other) {
+    for (int i = 0; i < kNumBudgetPhases; ++i) phase_ms[i] += other.phase_ms[i];
   }
 
   /// Sum over every phase including the residual, in fixed phase order

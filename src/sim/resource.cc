@@ -6,8 +6,10 @@
 
 namespace memgoal::sim {
 
-Resource::Resource(Simulator* simulator, int capacity, std::string name)
+Resource::Resource(Simulator* simulator, int capacity, std::string name,
+                   obs::BudgetPhase wait_phase, obs::BudgetPhase service_phase)
     : simulator_(simulator), capacity_(capacity), name_(std::move(name)),
+      wait_phase_(wait_phase), service_phase_(service_phase),
       wait_hist_(0.0, kHistogramMaxMs, kHistogramBuckets),
       busy_hist_(0.0, kHistogramMaxMs, kHistogramBuckets) {
   MEMGOAL_CHECK(capacity_ > 0);
@@ -52,19 +54,15 @@ void Resource::Release() {
   }
 }
 
-Task<void> Resource::Use(SimTime service_time, UseTiming* timing) {
-  if (timing == nullptr) {
-    co_await Acquire();
-    co_await simulator_->Delay(service_time * slowdown_);
-    Release();
-    co_return;
-  }
+Task<void> Resource::Use(SimTime service_time, obs::RequestBudget* budget) {
   const SimTime enqueued = simulator_->Now();
   co_await Acquire();
   const SimTime acquired = simulator_->Now();
   co_await simulator_->Delay(service_time * slowdown_);
-  timing->wait_ms += acquired - enqueued;
-  timing->service_ms += simulator_->Now() - acquired;
+  if (budget != nullptr) {
+    budget->Add(wait_phase_, acquired - enqueued);
+    budget->Add(service_phase_, simulator_->Now() - acquired);
+  }
   Release();
 }
 

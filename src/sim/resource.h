@@ -7,6 +7,7 @@
 
 #include "common/ring_buffer.h"
 #include "common/stats.h"
+#include "obs/latency_budget.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
 
@@ -33,6 +34,10 @@ namespace memgoal::sim {
 /// A slowdown factor models *degraded* (slow-but-alive) hardware: Use()
 /// stretches its service time by the factor. The factor is owned by the
 /// fault injection layer; 1.0 means healthy.
+///
+/// Use() charges a caller's latency budget with the time it queued and the
+/// time it held a unit, under the wait/service phase pair the resource was
+/// built with (CPU by default; a disk arm charges the disk phases).
 class Resource {
  public:
   /// Histogram range for wait/busy tail percentiles (ms). Samples beyond
@@ -41,7 +46,9 @@ class Resource {
   static constexpr double kHistogramMaxMs = 1000.0;
   static constexpr int kHistogramBuckets = 2000;
 
-  Resource(Simulator* simulator, int capacity, std::string name);
+  Resource(Simulator* simulator, int capacity, std::string name,
+           obs::BudgetPhase wait_phase = obs::BudgetPhase::kCpuWait,
+           obs::BudgetPhase service_phase = obs::BudgetPhase::kCpuService);
   Resource(const Resource&) = delete;
   Resource& operator=(const Resource&) = delete;
 
@@ -70,18 +77,11 @@ class Resource {
   /// simulated time.
   void Release();
 
-  /// Optional out-param of Use(): how long the caller queued for a unit
-  /// and how long it held it (slowdown-stretched). Filled from pure Now()
-  /// reads, so requesting timings can never perturb the simulation.
-  struct UseTiming {
-    double wait_ms = 0.0;
-    double service_ms = 0.0;
-  };
-
   /// Convenience process: acquire, hold for `service_time` stretched by the
-  /// current slowdown factor, release. A non-null `timing` receives the
-  /// wait/service split (latency-budget attribution).
-  Task<void> Use(SimTime service_time, UseTiming* timing = nullptr);
+  /// current slowdown factor, release. A non-null `budget` is charged the
+  /// queue wait and the (stretched) hold; the charge is read from Now()
+  /// alone, so a budget can never perturb the simulation.
+  Task<void> Use(SimTime service_time, obs::RequestBudget* budget = nullptr);
 
   /// Service-time multiplier applied by Use(); 1.0 = healthy. Set by the
   /// fault injection layer while the owning node is degraded.
@@ -126,6 +126,8 @@ class Resource {
   Simulator* simulator_;
   int capacity_;
   std::string name_;
+  obs::BudgetPhase wait_phase_;
+  obs::BudgetPhase service_phase_;
   int in_use_ = 0;
   double slowdown_ = 1.0;
   common::RingBuffer<Waiter> waiters_;

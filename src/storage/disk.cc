@@ -23,15 +23,16 @@ Disk::Disk(sim::Simulator* simulator, const Params& params,
            uint32_t page_bytes, std::string name)
     : simulator_(simulator),
       page_service_ms_(ComputeServiceTime(params, page_bytes)),
-      arm_(simulator, /*capacity=*/1, std::move(name)) {}
+      arm_(simulator, /*capacity=*/1, std::move(name),
+           obs::BudgetPhase::kDiskWait, obs::BudgetPhase::kDiskService) {}
 
-sim::Task<void> Disk::ReadPage(sim::Resource::UseTiming* timing) {
-  co_await arm_.Use(page_service_ms_, timing);
+sim::Task<void> Disk::ReadPage(obs::RequestBudget* budget) {
+  co_await arm_.Use(page_service_ms_, budget);
   ++reads_completed_;
 }
 
-sim::Task<void> Disk::WritePage(sim::Resource::UseTiming* timing) {
-  co_await arm_.Use(page_service_ms_, timing);
+sim::Task<void> Disk::WritePage() {
+  co_await arm_.Use(page_service_ms_);
   ++writes_completed_;
 }
 

@@ -9,7 +9,8 @@
 // scenario file under tools/scenarios/ and a set of fault, chaos and
 // observability configurations must reproduce pinned digests of their
 // metrics CSV and controller decision logs, so any change in simulated
-// behaviour shows up as a reviewed re-pin.
+// behaviour shows up as a reviewed re-pin. One fault case also pins its
+// Chrome trace, so the access path's span emission is held byte for byte.
 
 #include <bit>
 #include <cstdint>
@@ -36,6 +37,7 @@
 #include "core/system.h"
 #include "obs/attainment.h"
 #include "obs/decision_log.h"
+#include "obs/trace.h"
 #include "sim/chaos_schedule.h"
 #include "sim/invariant_auditor.h"
 
@@ -220,6 +222,7 @@ struct RunOutputs {
   std::string metrics_csv;
   std::string decision_jsonl;
   std::string attainment_jsonl;
+  std::string trace_json;
 };
 
 uint64_t Fnv1a(const std::string& bytes) {
@@ -248,6 +251,10 @@ struct GoldenCase {
   bool track_attainment = false;
   /// Overrides SystemConfig::heat_horizon_intervals (no scenario key).
   std::optional<double> heat_horizon_intervals;
+  /// When set, the case runs with an enabled tracer attached and its trace
+  /// JSON must hash to this digest. A tracer is a pure observer, so the
+  /// case's other digests are those of its untraced run.
+  std::optional<uint64_t> trace_digest = std::nullopt;
 };
 
 std::optional<RunOutputs> RunCase(const GoldenCase& c) {
@@ -279,6 +286,11 @@ std::optional<RunOutputs> RunCase(const GoldenCase& c) {
     tracker.Enable(true);
     system.SetAttainment(&tracker);
   }
+  obs::Tracer tracer;
+  if (c.trace_digest.has_value()) {
+    tracer.Enable(true);
+    system.SetTracer(&tracer);
+  }
   sim::InvariantAuditor auditor;
   if (scenario->audit) system.EnableAuditor(&auditor);
   system.Start();
@@ -297,6 +309,7 @@ std::optional<RunOutputs> RunCase(const GoldenCase& c) {
     out.attainment_jsonl =
         Capture([&](std::FILE* f) { tracker.WriteJsonl(f); });
   }
+  if (c.trace_digest.has_value()) tracer.AppendJson(&out.trace_json);
   return out;
 }
 
@@ -369,6 +382,16 @@ std::vector<GoldenCase> GoldenCases() {
                    crashes + "corrupt=all\ncorrupt_latent=0.25\n", {}, false,
                    {}});
   cases.push_back({"crashes+attainment", crashes, {}, true, {}});
+  // Crashes plus a gray episode whose late answers make requesters hedge,
+  // traced and budgeted: every access-path span and instant occurs, and the
+  // fetch-wait and backoff phases are charged. The digests were pinned
+  // before the page-access path was split into stages.
+  cases.push_back({"crashes+gray+trace",
+                   crashes +
+                       "degrade_node=2\ndegrade_at_ms=4000\n"
+                       "degrade_factor=25\nrestore_at_ms=10000\n"
+                       "crash_detect_timeout_ms=2.0\n",
+                   {}, true, {}, 0x8F9B16300CD53219ull});
   // The bounded-memory heat sweep: a 2-interval horizon over 36 intervals
   // ages histories out every interval. A crash wipes one node's heat
   // state, and a partition swallows heat hints that the heal re-reports
@@ -429,6 +452,9 @@ constexpr GoldenDigests kGolden[] = {
      0x0000000000000000ull},
     {"crashes+attainment", 88822u, 0x9CE540EC09B15C78ull, 0x02DB7D9E55335C60ull,
      0x0125739A0C539EFEull},
+    // Recorded before the page-access path was split into stages.
+    {"crashes+gray+trace", 81558u, 0x2FCDA9CE89131B81ull, 0xB0B235C8FC67804Full,
+     0x6C212FA56DD13EF1ull},
     // Recorded while the heat sweep still scanned every record.
     {"heat-sweep+crash+partition", 128279u, 0xCB201FE1350D0344ull,
      0x48764E36E7240303ull, 0x0000000000000000ull},
@@ -466,6 +492,22 @@ TEST(GoldenDigest, EveryCaseReplaysItsPinnedOutputs) {
         pinned->attainment_jsonl != got.attainment_jsonl) {
       ADD_FAILURE() << c.name << ": outputs differ from the pinned digests";
       mismatch = true;
+    }
+    if (c.trace_digest.has_value()) {
+      // Every span and instant the access path emits must occur, so the
+      // digest covers each emission site.
+      for (const char* name :
+           {"access", "cache_probe", "dir_lookup", "hedge", "fetch_timeout",
+            "fetch_wait", "backoff", "disk_read"}) {
+        EXPECT_NE(out->trace_json.find("{\"name\":\"" + std::string(name) +
+                                       "\",\"cat\":\"access\""),
+                  std::string::npos)
+            << c.name << ": no " << name << " in the trace";
+      }
+      const uint64_t trace = Fnv1a(out->trace_json);
+      EXPECT_EQ(trace, *c.trace_digest)
+          << c.name << ": trace digest differs; recomputed 0x" << std::hex
+          << std::uppercase << trace << "ull";
     }
     runs.emplace(c.name, std::move(*out));
   }

@@ -2,6 +2,7 @@
 
 #include "net/directory.h"
 #include "net/network.h"
+#include "obs/latency_budget.h"
 #include "sim/simulator.h"
 #include "storage/database.h"
 
@@ -26,14 +27,34 @@ TEST(NetworkTest, TransferTakesTransmissionPlusLatency) {
   EXPECT_NEAR(simulator.Now(), 0.32768 + 0.05, 1e-9);
 }
 
+double Phase(const obs::RequestBudget& budget, obs::BudgetPhase phase) {
+  return budget.phase_ms[static_cast<int>(phase)];
+}
+
 TEST(NetworkTest, SharedMediumSerializes) {
   sim::Simulator simulator;
-  Network network(&simulator, Network::Params{100.0, 0.0});
+  Network network(&simulator, Network::Params{100.0, 0.05});
+  obs::RequestBudget budgets[3];
   for (int i = 0; i < 3; ++i) {
-    simulator.Spawn(network.Transfer(0, 1, 4096, TrafficClass::kPage));
+    simulator.Spawn(network.Transfer(0, 1, 4096, TrafficClass::kPage,
+                                     /*via_storage_bus=*/false, &budgets[i]));
   }
   simulator.Run();
-  EXPECT_NEAR(simulator.Now(), 3 * 0.32768, 1e-9);
+  EXPECT_NEAR(simulator.Now(), 3 * 0.32768 + 0.05, 1e-9);
+  // A queued transfer waits for the medium, then is on the wire for its
+  // transmission time plus the endpoint latency.
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_NEAR(Phase(budgets[i], obs::BudgetPhase::kNetWait), i * 0.32768,
+                1e-9);
+    EXPECT_NEAR(Phase(budgets[i], obs::BudgetPhase::kNetTransfer),
+                0.32768 + 0.05, 1e-9);
+  }
+  // A same-node transfer is free and charges nothing.
+  obs::RequestBudget local;
+  simulator.Spawn(network.Transfer(1, 1, 4096, TrafficClass::kPage,
+                                   /*via_storage_bus=*/false, &local));
+  simulator.Run();
+  EXPECT_EQ(local.Sum(), 0.0);
 }
 
 TEST(NetworkTest, SameNodeTransferIsFree) {

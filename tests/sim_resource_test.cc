@@ -4,26 +4,34 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/latency_budget.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
 
 namespace memgoal::sim {
 namespace {
 
+using obs::BudgetPhase;
+using obs::RequestBudget;
+
+double Phase(const RequestBudget& budget, BudgetPhase phase) {
+  return budget.phase_ms[static_cast<int>(phase)];
+}
+
 Task<void> UseOnce(Simulator* simulator, Resource* resource, SimTime service,
-                   int id, std::vector<std::pair<int, double>>* done) {
-  co_await resource->Acquire();
-  co_await simulator->Delay(service);
-  resource->Release();
+                   int id, std::vector<std::pair<int, double>>* done,
+                   RequestBudget* budget = nullptr) {
+  co_await resource->Use(service, budget);
   done->push_back({id, simulator->Now()});
 }
 
 TEST(ResourceTest, SerializesUnitCapacity) {
   Simulator simulator;
-  Resource disk(&simulator, 1, "disk");
+  Resource cpu(&simulator, 1, "cpu");
   std::vector<std::pair<int, double>> done;
+  RequestBudget budgets[3];
   for (int i = 0; i < 3; ++i) {
-    simulator.Spawn(UseOnce(&simulator, &disk, 10.0, i, &done));
+    simulator.Spawn(UseOnce(&simulator, &cpu, 10.0, i, &done, &budgets[i]));
   }
   simulator.Run();
   ASSERT_EQ(done.size(), 3u);
@@ -32,6 +40,16 @@ TEST(ResourceTest, SerializesUnitCapacity) {
     EXPECT_EQ(done[i].first, i);
     EXPECT_DOUBLE_EQ(done[i].second, 10.0 * (i + 1));
   }
+  // Each user queued exactly as long as its predecessors held the unit, and
+  // the budget charges nothing but the resource's wait/service phases.
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_DOUBLE_EQ(Phase(budgets[i], BudgetPhase::kCpuService), 10.0);
+    EXPECT_DOUBLE_EQ(budgets[i].Sum(), 10.0 * (i + 1));
+  }
+  EXPECT_DOUBLE_EQ(Phase(budgets[0], BudgetPhase::kCpuWait), 0.0);
+  EXPECT_DOUBLE_EQ(Phase(budgets[1], BudgetPhase::kCpuWait),
+                   Phase(budgets[0], BudgetPhase::kCpuService));
+  EXPECT_DOUBLE_EQ(Phase(budgets[2], BudgetPhase::kCpuWait), 20.0);
 }
 
 TEST(ResourceTest, ParallelismUpToCapacity) {
@@ -107,16 +125,30 @@ Task<void> HoldAndCount(Simulator* simulator, Resource* resource,
 
 TEST(ResourceTest, SlowdownStretchesUse) {
   Simulator simulator;
-  Resource disk(&simulator, 1, "disk");
+  Resource disk(&simulator, 1, "disk", BudgetPhase::kDiskWait,
+                BudgetPhase::kDiskService);
   disk.SetSlowdown(4.0);
-  simulator.Spawn(disk.Use(5.0));
+  RequestBudget first;
+  RequestBudget second;
+  simulator.Spawn(disk.Use(5.0, &first));
+  simulator.Spawn(disk.Use(5.0, &second));
   simulator.Run();
-  EXPECT_DOUBLE_EQ(simulator.Now(), 20.0);
+  EXPECT_DOUBLE_EQ(simulator.Now(), 40.0);
+  // Service is stretched by the factor, and the contending second user
+  // waits out the first one's stretched service.
+  EXPECT_DOUBLE_EQ(Phase(first, BudgetPhase::kDiskService), 20.0);
+  EXPECT_DOUBLE_EQ(Phase(first, BudgetPhase::kDiskWait), 0.0);
+  EXPECT_DOUBLE_EQ(Phase(second, BudgetPhase::kDiskService), 20.0);
+  EXPECT_DOUBLE_EQ(Phase(second, BudgetPhase::kDiskWait),
+                   Phase(first, BudgetPhase::kDiskService));
+  EXPECT_DOUBLE_EQ(Phase(second, BudgetPhase::kCpuWait), 0.0);
   // Lifting the episode restores nominal service times.
   disk.SetSlowdown(1.0);
-  simulator.Spawn(disk.Use(5.0));
+  RequestBudget healthy;
+  simulator.Spawn(disk.Use(5.0, &healthy));
   simulator.Run();
-  EXPECT_DOUBLE_EQ(simulator.Now(), 25.0);
+  EXPECT_DOUBLE_EQ(simulator.Now(), 45.0);
+  EXPECT_DOUBLE_EQ(Phase(healthy, BudgetPhase::kDiskService), 5.0);
 }
 
 TEST(ResourceTest, WaitAndBusyQuantiles) {
