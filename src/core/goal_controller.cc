@@ -276,67 +276,65 @@ void GoalOrientedController::AccumulateLpStats(const LpOutcomeStats& lp) {
 }
 
 void GoalOrientedController::PublishMetrics(obs::Registry* registry) {
-  registry->GetCounter("ctrl.reports_sent")->Set(stats_.reports_sent);
-  registry->GetCounter("ctrl.checks")->Set(stats_.checks);
-  registry->GetCounter("ctrl.violations")->Set(stats_.violations);
-  registry->GetCounter("ctrl.lp_optimizations")->Set(stats_.lp_optimizations);
-  registry->GetCounter("ctrl.warmup_steps")->Set(stats_.warmup_steps);
-  registry->GetCounter("ctrl.allocation_commands")
-      ->Set(stats_.allocation_commands);
-  registry->GetCounter("ctrl.best_effort_allocations")
-      ->Set(stats_.best_effort_allocations);
-  registry->GetCounter("ctrl.saturations")->Set(stats_.saturations);
-  registry->GetCounter("ctrl.crashes_observed")->Set(stats_.crashes_observed);
-  registry->GetCounter("ctrl.recoveries_observed")
-      ->Set(stats_.recoveries_observed);
-  registry->GetCounter("ctrl.coordinator_failovers")
-      ->Set(stats_.coordinator_failovers);
-  registry->GetCounter("ctrl.store_resets")->Set(stats_.store_resets);
-  registry->GetCounter("ctrl.nonfinite_observations_rejected")
-      ->Set(stats_.nonfinite_observations_rejected);
-  registry->GetCounter("ctrl.degenerate_fit_skips")
-      ->Set(stats_.degenerate_fit_skips);
-  registry->GetCounter("ctrl.lp_status.optimal")->Set(stats_.lp_status_optimal);
-  registry->GetCounter("ctrl.lp_status.infeasible")
-      ->Set(stats_.lp_status_infeasible);
-  registry->GetCounter("ctrl.lp_status.unbounded")
-      ->Set(stats_.lp_status_unbounded);
-  registry->GetCounter("ctrl.lp_status.iteration_limit")
-      ->Set(stats_.lp_status_iteration_limit);
-  registry->GetCounter("ctrl.lp_relaxed_retries")
-      ->Set(stats_.lp_relaxed_retries);
-  registry->GetCounter("ctrl.lp_certificate_failures")
-      ->Set(stats_.lp_certificate_failures);
-  registry->GetCounter("ctrl.lp_warm_starts")->Set(stats_.lp_warm_starts);
-  registry->GetCounter("ctrl.lp_cold_starts")->Set(stats_.lp_cold_starts);
-  registry->GetCounter("ctrl.partition_changes_observed")
-      ->Set(stats_.partition_changes_observed);
-  registry->GetCounter("ctrl.leases_lost")->Set(stats_.leases_lost);
-  registry->GetCounter("ctrl.lease_acquisitions")
-      ->Set(stats_.lease_acquisitions);
-  registry->GetCounter("ctrl.checks_skipped_no_lease")
-      ->Set(stats_.checks_skipped_no_lease);
+  const std::pair<const char*, uint64_t> stats[] = {
+      {"ctrl.reports_sent", stats_.reports_sent},
+      {"ctrl.checks", stats_.checks},
+      {"ctrl.violations", stats_.violations},
+      {"ctrl.lp_optimizations", stats_.lp_optimizations},
+      {"ctrl.warmup_steps", stats_.warmup_steps},
+      {"ctrl.allocation_commands", stats_.allocation_commands},
+      {"ctrl.best_effort_allocations", stats_.best_effort_allocations},
+      {"ctrl.saturations", stats_.saturations},
+      {"ctrl.crashes_observed", stats_.crashes_observed},
+      {"ctrl.recoveries_observed", stats_.recoveries_observed},
+      {"ctrl.coordinator_failovers", stats_.coordinator_failovers},
+      {"ctrl.store_resets", stats_.store_resets},
+      {"ctrl.nonfinite_observations_rejected",
+       stats_.nonfinite_observations_rejected},
+      {"ctrl.degenerate_fit_skips", stats_.degenerate_fit_skips},
+      {"ctrl.lp_status.optimal", stats_.lp_status_optimal},
+      {"ctrl.lp_status.infeasible", stats_.lp_status_infeasible},
+      {"ctrl.lp_status.unbounded", stats_.lp_status_unbounded},
+      {"ctrl.lp_status.iteration_limit", stats_.lp_status_iteration_limit},
+      {"ctrl.lp_relaxed_retries", stats_.lp_relaxed_retries},
+      {"ctrl.lp_certificate_failures", stats_.lp_certificate_failures},
+      {"ctrl.lp_warm_starts", stats_.lp_warm_starts},
+      {"ctrl.lp_cold_starts", stats_.lp_cold_starts},
+      {"ctrl.partition_changes_observed", stats_.partition_changes_observed},
+      {"ctrl.leases_lost", stats_.leases_lost},
+      {"ctrl.lease_acquisitions", stats_.lease_acquisitions},
+      {"ctrl.checks_skipped_no_lease", stats_.checks_skipped_no_lease},
+  };
+  registry->SetCounters(stats, &published_stats_);
   char name[64];
   for (const auto& [klass, coordinator] : coordinators_) {
-    std::snprintf(name, sizeof(name), "class%u.lease.epoch", klass);
-    registry->GetGauge(name)->Set(static_cast<double>(coordinator.epoch));
-    std::snprintf(name, sizeof(name), "class%u.lease.held", klass);
-    registry->GetGauge(name)->Set(coordinator.has_lease ? 1.0 : 0.0);
-  }
-  for (const auto& [klass, coordinator] : coordinators_) {
+    ClassInstruments& published = published_classes_[klass];
+    if (published.lease_epoch == nullptr) {
+      // Each instrument is looked up by name on first publish only.
+      const auto counter = [&](const char* field) {
+        std::snprintf(name, sizeof(name), "class%u.%s", klass, field);
+        return registry->GetCounter(name);
+      };
+      const auto gauge = [&](const char* field) {
+        std::snprintf(name, sizeof(name), "class%u.%s", klass, field);
+        return registry->GetGauge(name);
+      };
+      published.lease_epoch = gauge("lease.epoch");
+      published.lease_held = gauge("lease.held");
+      published.rejected_points = counter("store.rejected_points");
+      published.outlier_rejections = counter("store.outlier_rejections");
+      published.condition_resets = counter("store.condition_resets");
+      published.store_size = gauge("store.size");
+      published.condition_estimate = gauge("store.condition_estimate");
+    }
     const MeasureStore& store = coordinator.store;
-    std::snprintf(name, sizeof(name), "class%u.store.rejected_points", klass);
-    registry->GetCounter(name)->Set(store.rejected_points());
-    std::snprintf(name, sizeof(name), "class%u.store.outlier_rejections",
-                  klass);
-    registry->GetCounter(name)->Set(store.outlier_rejections());
-    std::snprintf(name, sizeof(name), "class%u.store.condition_resets", klass);
-    registry->GetCounter(name)->Set(store.condition_resets());
-    std::snprintf(name, sizeof(name), "class%u.store.size", klass);
-    registry->GetGauge(name)->Set(static_cast<double>(store.size()));
-    std::snprintf(name, sizeof(name), "class%u.store.condition_estimate",
-                  klass);
-    registry->GetGauge(name)->Set(store.ConditionEstimate());
+    published.lease_epoch->Set(static_cast<double>(coordinator.epoch));
+    published.lease_held->Set(coordinator.has_lease ? 1.0 : 0.0);
+    published.rejected_points->Set(store.rejected_points());
+    published.outlier_rejections->Set(store.outlier_rejections());
+    published.condition_resets->Set(store.condition_resets());
+    published.store_size->Set(static_cast<double>(store.size()));
+    published.condition_estimate->Set(store.ConditionEstimate());
   }
 }
 

@@ -241,6 +241,19 @@ class GoalOrientedController final : public Controller {
   std::map<ClassId, Coordinator> coordinators_;
   std::map<std::pair<ClassId, NodeId>, LastSent> last_sent_;
   ProtocolStats stats_;
+  // The registry instruments PublishMetrics mirrors into, resolved by name
+  // on first publish.
+  struct ClassInstruments {
+    obs::Registry::Gauge* lease_epoch = nullptr;
+    obs::Registry::Gauge* lease_held = nullptr;
+    obs::Registry::Counter* rejected_points = nullptr;
+    obs::Registry::Counter* outlier_rejections = nullptr;
+    obs::Registry::Counter* condition_resets = nullptr;
+    obs::Registry::Gauge* store_size = nullptr;
+    obs::Registry::Gauge* condition_estimate = nullptr;
+  };
+  std::vector<obs::Registry::Counter*> published_stats_;
+  std::map<ClassId, ClassInstruments> published_classes_;
 };
 
 }  // namespace memgoal::core

@@ -1295,84 +1295,108 @@ sim::Task<void> ClusterSystem::IntervalLoop() {
 }
 
 void ClusterSystem::PublishRegistrySnapshot(int interval_index) {
+  // Each instrument is looked up by name the first time it is needed; later
+  // intervals reuse the pointer.
   char name[64];
   for (const auto& [klass, counters] : counters_) {
-    for (int level = 0; level < 4; ++level) {
-      std::snprintf(name, sizeof(name), "class%u.access.%s",
-                    static_cast<unsigned>(klass),
-                    StorageLevelName(static_cast<StorageLevel>(level)));
-      registry_.GetCounter(name)->Set(counters.by_level[level]);
+    ClassInstruments& published = published_.classes[klass];
+    if (published.fetch_fallbacks == nullptr) {
+      for (int level = 0; level < 4; ++level) {
+        std::snprintf(name, sizeof(name), "class%u.access.%s",
+                      static_cast<unsigned>(klass),
+                      StorageLevelName(static_cast<StorageLevel>(level)));
+        published.access[level] = registry_.GetCounter(name);
+      }
+      std::snprintf(name, sizeof(name), "class%u.fetch_fallbacks",
+                    static_cast<unsigned>(klass));
+      published.fetch_fallbacks = registry_.GetCounter(name);
     }
-    std::snprintf(name, sizeof(name), "class%u.fetch_fallbacks",
-                  static_cast<unsigned>(klass));
-    registry_.GetCounter(name)->Set(counters.fetch_fallbacks);
+    for (int level = 0; level < 4; ++level) {
+      published.access[level]->Set(counters.by_level[level]);
+    }
+    published.fetch_fallbacks->Set(counters.fetch_fallbacks);
   }
   for (const workload::ClassSpec& class_spec : classes_) {
-    std::snprintf(name, sizeof(name), "class%u.rt.observed_ms",
-                  static_cast<unsigned>(class_spec.id));
-    registry_.GetGauge(name)->Set(WeightedRt(class_spec.id).value_or(0.0));
+    const unsigned klass = static_cast<unsigned>(class_spec.id);
+    ClassInstruments& published = published_.classes[class_spec.id];
+    if (published.rt_observed == nullptr) {
+      std::snprintf(name, sizeof(name), "class%u.rt.observed_ms", klass);
+      published.rt_observed = registry_.GetGauge(name);
+    }
+    published.rt_observed->Set(WeightedRt(class_spec.id).value_or(0.0));
     if (class_spec.goal_rt_ms.has_value()) {
-      std::snprintf(name, sizeof(name), "class%u.rt.goal_ms",
-                    static_cast<unsigned>(class_spec.id));
-      registry_.GetGauge(name)->Set(*class_spec.goal_rt_ms);
-      std::snprintf(name, sizeof(name), "class%u.dedicated_bytes",
-                    static_cast<unsigned>(class_spec.id));
-      registry_.GetGauge(name)->Set(
+      if (published.rt_goal == nullptr) {
+        std::snprintf(name, sizeof(name), "class%u.rt.goal_ms", klass);
+        published.rt_goal = registry_.GetGauge(name);
+        std::snprintf(name, sizeof(name), "class%u.dedicated_bytes", klass);
+        published.dedicated_bytes = registry_.GetGauge(name);
+      }
+      published.rt_goal->Set(*class_spec.goal_rt_ms);
+      published.dedicated_bytes->Set(
           static_cast<double>(TotalDedicatedBytes(class_spec.id)));
+    }
+  }
+  if (published_.net.empty()) {
+    for (int tc = 0; tc < net::kNumTrafficClasses; ++tc) {
+      const char* tc_name =
+          net::TrafficClassName(static_cast<net::TrafficClass>(tc));
+      for (const char* what : {"bytes", "msgs", "dropped", "partition_dropped"}) {
+        std::snprintf(name, sizeof(name), "net.%s.%s", what, tc_name);
+        published_.net.push_back(registry_.GetCounter(name));
+      }
     }
   }
   for (int tc = 0; tc < net::kNumTrafficClasses; ++tc) {
     const auto traffic_class = static_cast<net::TrafficClass>(tc);
-    const char* tc_name = net::TrafficClassName(traffic_class);
-    std::snprintf(name, sizeof(name), "net.bytes.%s", tc_name);
-    registry_.GetCounter(name)->Set(network_.bytes_sent(traffic_class));
-    std::snprintf(name, sizeof(name), "net.msgs.%s", tc_name);
-    registry_.GetCounter(name)->Set(network_.messages_sent(traffic_class));
-    std::snprintf(name, sizeof(name), "net.dropped.%s", tc_name);
-    registry_.GetCounter(name)->Set(network_.messages_dropped(traffic_class));
-    std::snprintf(name, sizeof(name), "net.partition_dropped.%s", tc_name);
-    registry_.GetCounter(name)->Set(
-        network_.messages_partition_dropped(traffic_class));
+    obs::Registry::Counter* const* counters = &published_.net[4 * tc];
+    counters[0]->Set(network_.bytes_sent(traffic_class));
+    counters[1]->Set(network_.messages_sent(traffic_class));
+    counters[2]->Set(network_.messages_dropped(traffic_class));
+    counters[3]->Set(network_.messages_partition_dropped(traffic_class));
   }
-  registry_.GetGauge("cluster.nodes_up")
-      ->Set(static_cast<double>(fault_injector_.nodes_up()));
-  registry_.GetGauge("cluster.partitioned")
-      ->Set(fault_injector_.Partitioned() ? 1.0 : 0.0);
-  registry_.GetCounter("cluster.partition_begins")->Set(partition_begins_);
-  registry_.GetCounter("cluster.partition_heals")->Set(partition_heals_);
-  registry_.GetCounter("cluster.stale_grants_rejected")
-      ->Set(grants_rejected_stale_epoch_);
-  registry_.GetCounter("cluster.reconcile_hints_sent")
-      ->Set(reconcile_hints_sent_);
-  registry_.GetCounter("cluster.crashes_suppressed")
-      ->Set(fault_injector_.stats().suppressed);
-  registry_.GetCounter("cluster.corrupt_injected")
-      ->Set(fault_injector_.stats().corruptions);
-  registry_.GetCounter("cluster.corrupt_detected")->Set(corrupt_detected_);
-  registry_.GetCounter("cluster.corrupt_served")->Set(corrupt_served_);
-  registry_.GetCounter("cluster.latent_served")->Set(latent_served_);
-  registry_.GetCounter("cluster.quarantine_decisions")
-      ->Set(quarantine_decisions_);
-  registry_.GetCounter("cluster.frames_quarantined")
-      ->Set(frames_quarantined());
-  registry_.GetCounter("cluster.repairs_replica")->Set(repairs_replica_);
-  registry_.GetCounter("cluster.pages_lost")->Set(pages_lost_);
-  registry_.GetCounter("cluster.pages_scrubbed")->Set(pages_scrubbed_);
+  const std::pair<const char*, double> cluster_gauges[] = {
+      {"cluster.nodes_up", static_cast<double>(fault_injector_.nodes_up())},
+      {"cluster.partitioned", fault_injector_.Partitioned() ? 1.0 : 0.0},
+  };
+  registry_.SetGauges(cluster_gauges, &published_.cluster_gauges);
   uint64_t hint_budget_skips = 0;
   for (const auto& node : nodes_) {
     hint_budget_skips += node->hint_budget_skips_;
   }
-  registry_.GetCounter("cluster.hint_budget_skips")->Set(hint_budget_skips);
-  registry_.GetCounter("cluster.scrub_skipped_busy")
-      ->Set(scrub_skipped_busy_);
+  const std::pair<const char*, uint64_t> cluster_counters[] = {
+      {"cluster.partition_begins", partition_begins_},
+      {"cluster.partition_heals", partition_heals_},
+      {"cluster.stale_grants_rejected", grants_rejected_stale_epoch_},
+      {"cluster.reconcile_hints_sent", reconcile_hints_sent_},
+      {"cluster.crashes_suppressed", fault_injector_.stats().suppressed},
+      {"cluster.corrupt_injected", fault_injector_.stats().corruptions},
+      {"cluster.corrupt_detected", corrupt_detected_},
+      {"cluster.corrupt_served", corrupt_served_},
+      {"cluster.latent_served", latent_served_},
+      {"cluster.quarantine_decisions", quarantine_decisions_},
+      {"cluster.frames_quarantined", frames_quarantined()},
+      {"cluster.repairs_replica", repairs_replica_},
+      {"cluster.pages_lost", pages_lost_},
+      {"cluster.pages_scrubbed", pages_scrubbed_},
+      {"cluster.hint_budget_skips", hint_budget_skips},
+      {"cluster.scrub_skipped_busy", scrub_skipped_busy_},
+  };
+  registry_.SetCounters(cluster_counters, &published_.cluster_counters);
   if (auditor_ != nullptr) {
-    registry_.GetCounter("audit.checks_run")->Set(auditor_->checks_run());
-    registry_.GetCounter("audit.violations")
-        ->Set(auditor_->violations_found());
+    const std::pair<const char*, uint64_t> audit_counters[] = {
+        {"audit.checks_run", auditor_->checks_run()},
+        {"audit.violations", auditor_->violations_found()},
+    };
+    registry_.SetCounters(audit_counters, &published_.audit_counters);
+  }
+  if (published_.heat_tracked_pages.empty()) {
+    for (NodeId i = 0; i < config_.num_nodes; ++i) {
+      std::snprintf(name, sizeof(name), "node%u.heat.tracked_pages", i);
+      published_.heat_tracked_pages.push_back(registry_.GetGauge(name));
+    }
   }
   for (NodeId i = 0; i < config_.num_nodes; ++i) {
-    std::snprintf(name, sizeof(name), "node%u.heat.tracked_pages", i);
-    registry_.GetGauge(name)->Set(
+    published_.heat_tracked_pages[i]->Set(
         static_cast<double>(nodes_[i]->HeatHistorySize()));
   }
   if (attainment_ != nullptr) attainment_->PublishTo(&registry_);

@@ -283,7 +283,8 @@ class Controller {
 
   /// Mirrors the controller's internal counters into the unified metrics
   /// registry; called once per observation interval just before the
-  /// registry snapshot. Default: publishes nothing.
+  /// registry snapshot, always with the system's registry, so instrument
+  /// pointers may be kept across calls. Default: publishes nothing.
   virtual void PublishMetrics(obs::Registry* /*registry*/) {}
 
   virtual const char* name() const = 0;
@@ -880,6 +881,25 @@ class ClusterSystem {
   obs::DecisionLog* decision_log_ = nullptr;
   obs::AttainmentTracker* attainment_ = nullptr;
   obs::Registry registry_;
+  // The registry instruments PublishRegistrySnapshot mirrors values into,
+  // each resolved by name the first time it is needed.
+  struct ClassInstruments {
+    obs::Registry::Counter* access[4] = {};
+    obs::Registry::Counter* fetch_fallbacks = nullptr;
+    obs::Registry::Gauge* rt_observed = nullptr;
+    obs::Registry::Gauge* rt_goal = nullptr;
+    obs::Registry::Gauge* dedicated_bytes = nullptr;
+  };
+  struct PublishedInstruments {
+    std::map<ClassId, ClassInstruments> classes;
+    // net.{bytes,msgs,dropped,partition_dropped}.<traffic class>, four per
+    // traffic class.
+    std::vector<obs::Registry::Counter*> net;
+    std::vector<obs::Registry::Gauge*> cluster_gauges;
+    std::vector<obs::Registry::Counter*> cluster_counters;
+    std::vector<obs::Registry::Counter*> audit_counters;
+    std::vector<obs::Registry::Gauge*> heat_tracked_pages;  // per node
+  } published_;
 };
 
 }  // namespace memgoal::core

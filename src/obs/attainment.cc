@@ -187,46 +187,70 @@ double AttainmentTracker::BurnRate(const SloState& state, int window) {
   return miss_fraction / kErrorBudgetFraction;
 }
 
-void AttainmentTracker::PublishTo(Registry* registry) const {
+void AttainmentTracker::PublishTo(Registry* registry) {
   if (!enabled_ || registry == nullptr) return;
+  // Each instrument is looked up by name the first time it is needed.
   char name[96];
+  const auto gauge = [&](uint32_t klass, const char* field) {
+    std::snprintf(name, sizeof(name), "class%u.%s", klass, field);
+    return registry->GetGauge(name);
+  };
+  const auto counter = [&](uint32_t klass, const char* field) {
+    std::snprintf(name, sizeof(name), "class%u.%s", klass, field);
+    return registry->GetCounter(name);
+  };
   for (const auto& [klass, accum] : last_interval_) {
-    for (int i = 0; i < kNumBudgetPhases; ++i) {
-      std::snprintf(name, sizeof(name), "class%u.budget.%s_ms", klass,
-                    BudgetPhaseName(static_cast<BudgetPhase>(i)));
-      registry->GetGauge(name)->Set(accum.phase_ms[i]);
+    ClassInstruments& published = published_[klass];
+    if (published.budget_requests == nullptr) {
+      char field[64];
+      for (int i = 0; i < kNumBudgetPhases; ++i) {
+        std::snprintf(field, sizeof(field), "budget.%s_ms",
+                      BudgetPhaseName(static_cast<BudgetPhase>(i)));
+        published.budget_phase_ms[i] = gauge(klass, field);
+      }
+      published.budget_requests = gauge(klass, "budget.requests");
     }
-    std::snprintf(name, sizeof(name), "class%u.budget.requests", klass);
-    registry->GetGauge(name)->Set(static_cast<double>(accum.requests));
+    for (int i = 0; i < kNumBudgetPhases; ++i) {
+      published.budget_phase_ms[i]->Set(accum.phase_ms[i]);
+    }
+    published.budget_requests->Set(static_cast<double>(accum.requests));
   }
   for (const auto& [klass, state] : slo_) {
+    ClassInstruments& published = published_[klass];
     if (state.intervals_counted > 0) {
-      std::snprintf(name, sizeof(name), "class%u.slo.attainment", klass);
-      registry->GetGauge(name)->Set(
+      if (published.slo_misses == nullptr) {
+        published.slo_attainment = gauge(klass, "slo.attainment");
+        published.slo_error_budget_used =
+            gauge(klass, "slo.error_budget_used");
+        published.slo_burn_fast = gauge(klass, "slo.burn_fast");
+        published.slo_burn_slow = gauge(klass, "slo.burn_slow");
+        published.slo_misses = counter(klass, "slo.misses");
+        published.slo_intervals_since_miss =
+            gauge(klass, "slo.intervals_since_miss");
+      }
+      published.slo_attainment->Set(
           static_cast<double>(state.intervals_satisfied) /
           static_cast<double>(state.intervals_counted));
-      std::snprintf(name, sizeof(name), "class%u.slo.error_budget_used",
-                    klass);
-      registry->GetGauge(name)->Set(
+      published.slo_error_budget_used->Set(
           static_cast<double>(state.misses) /
           (kErrorBudgetFraction *
            static_cast<double>(state.intervals_counted)));
-      std::snprintf(name, sizeof(name), "class%u.slo.burn_fast", klass);
-      registry->GetGauge(name)->Set(BurnRate(state, kFastWindow));
-      std::snprintf(name, sizeof(name), "class%u.slo.burn_slow", klass);
-      registry->GetGauge(name)->Set(BurnRate(state, kSlowWindow));
-      std::snprintf(name, sizeof(name), "class%u.slo.misses", klass);
-      registry->GetCounter(name)->Set(state.misses);
-      std::snprintf(name, sizeof(name), "class%u.slo.intervals_since_miss",
-                    klass);
-      registry->GetGauge(name)->Set(
+      published.slo_burn_fast->Set(BurnRate(state, kFastWindow));
+      published.slo_burn_slow->Set(BurnRate(state, kSlowWindow));
+      published.slo_misses->Set(state.misses);
+      published.slo_intervals_since_miss->Set(
           static_cast<double>(state.intervals_since_miss));
     }
-    std::snprintf(name, sizeof(name), "class%u.slo.oscillations", klass);
-    registry->GetCounter(name)->Set(state.oscillations);
+    if (published.slo_oscillations == nullptr) {
+      published.slo_oscillations = counter(klass, "slo.oscillations");
+    }
+    published.slo_oscillations->Set(state.oscillations);
   }
-  registry->GetCounter("attainment.miss_cards")->Set(cards_.size());
-  registry->GetCounter("attainment.requests")->Set(requests_recorded_);
+  const std::pair<const char*, uint64_t> totals[] = {
+      {"attainment.miss_cards", cards_.size()},
+      {"attainment.requests", requests_recorded_},
+  };
+  registry->SetCounters(totals, &published_totals_);
 }
 
 namespace {

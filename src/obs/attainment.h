@@ -9,10 +9,9 @@
 #include <vector>
 
 #include "obs/latency_budget.h"
+#include "obs/registry.h"
 
 namespace memgoal::obs {
-
-class Registry;
 
 /// Goal-attainment observability: per-class response-time budget
 /// attribution, SLO burn-rate monitoring, and goal-miss root-cause cards.
@@ -175,8 +174,8 @@ class AttainmentTracker {
 
   /// Mirrors per-class budget and SLO instruments into the registry
   /// ("class<k>.budget.<phase>_ms", "class<k>.slo.*"). Called once per
-  /// interval before the registry snapshot.
-  void PublishTo(Registry* registry) const;
+  /// interval before the registry snapshot, always with the same registry.
+  void PublishTo(Registry* registry);
 
   /// One JSON object per budget row, then one per miss card
   /// (`"type":"miss_card"`). Doubles use %.17g so rows round-trip exactly.
@@ -240,6 +239,21 @@ class AttainmentTracker {
   std::map<uint32_t, Accum> last_interval_;
   uint64_t requests_recorded_ = 0;
   double max_sum_error_ = 0.0;
+  // The registry instruments PublishTo mirrors into, resolved by name the
+  // first time each is needed.
+  struct ClassInstruments {
+    Registry::Gauge* budget_phase_ms[kNumBudgetPhases] = {};
+    Registry::Gauge* budget_requests = nullptr;
+    Registry::Gauge* slo_attainment = nullptr;
+    Registry::Gauge* slo_error_budget_used = nullptr;
+    Registry::Gauge* slo_burn_fast = nullptr;
+    Registry::Gauge* slo_burn_slow = nullptr;
+    Registry::Counter* slo_misses = nullptr;
+    Registry::Gauge* slo_intervals_since_miss = nullptr;
+    Registry::Counter* slo_oscillations = nullptr;
+  };
+  std::map<uint32_t, ClassInstruments> published_;
+  std::vector<Registry::Counter*> published_totals_;
 };
 
 }  // namespace memgoal::obs

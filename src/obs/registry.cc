@@ -65,66 +65,43 @@ Registry::Gauge* Registry::GetGauge(const std::string& name) {
   return &gauges_[name];
 }
 
+void Registry::SetCounters(
+    std::span<const std::pair<const char*, uint64_t>> values,
+    std::vector<Counter*>* cache) {
+  if (cache->empty()) {
+    for (const auto& [name, value] : values) cache->push_back(GetCounter(name));
+  }
+  MEMGOAL_DCHECK(cache->size() == values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    (*cache)[i]->Set(values[i].second);
+  }
+}
+
+void Registry::SetGauges(std::span<const std::pair<const char*, double>> values,
+                         std::vector<Gauge*>* cache) {
+  if (cache->empty()) {
+    for (const auto& [name, value] : values) cache->push_back(GetGauge(name));
+  }
+  MEMGOAL_DCHECK(cache->size() == values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    (*cache)[i]->Set(values[i].second);
+  }
+}
+
 void Registry::RegisterHistogram(const std::string& name,
                                  const common::Histogram* histogram,
                                  std::vector<double> quantiles) {
   MEMGOAL_CHECK(histogram != nullptr);
   MEMGOAL_DCHECK(counters_.find(name) == counters_.end());
   MEMGOAL_DCHECK(gauges_.find(name) == gauges_.end());
-  histograms_[name] = HistogramView{histogram, std::move(quantiles)};
-}
-
-const Registry::Snapshot& Registry::TakeSnapshot(int interval,
-                                                 double sim_time_ms) {
-  Snapshot snap;
-  snap.interval = interval;
-  snap.sim_time_ms = sim_time_ms;
-  uint64_t total_regressions = 0;
-  for (auto& [name, counter] : counters_) {
-    SnapshotEntry entry;
-    entry.name = name;
-    entry.kind = Kind::kCounter;
-    entry.value = static_cast<double>(counter.value_);
-    entry.delta = counter.value_ - counter.snapshot_base_;
-    counter.snapshot_base_ = counter.value_;
-    total_regressions += counter.regressions_;
-    snap.entries.push_back(std::move(entry));
-  }
-  // Mirror-health telemetry: only materialized once a clamp has happened,
-  // so healthy runs don't grow a permanently-zero instrument.
-  if (total_regressions > 0) {
-    SnapshotEntry entry;
-    entry.name = "obs.counter_regressions";
-    entry.kind = Kind::kCounter;
-    entry.value = static_cast<double>(total_regressions);
-    entry.delta = total_regressions - regressions_snapshot_base_;
-    regressions_snapshot_base_ = total_regressions;
-    snap.entries.push_back(std::move(entry));
-  }
-  for (const auto& [name, gauge] : gauges_) {
-    SnapshotEntry entry;
-    entry.name = name;
-    entry.kind = Kind::kGauge;
-    entry.value = gauge.value();
-    snap.entries.push_back(std::move(entry));
-  }
+  HistogramView view{histogram, std::move(quantiles), {}};
   char suffix[32];
-  for (const auto& [name, view] : histograms_) {
-    for (double q : view.quantiles) {
-      const common::Histogram::QuantileValue qv =
-          view.histogram->QuantileWithSaturation(q);
-      SnapshotEntry entry;
-      std::snprintf(suffix, sizeof(suffix), ".p%g", q * 100.0);
-      entry.name = name + suffix;
-      entry.kind = Kind::kQuantile;
-      entry.value = qv.value;
-      entry.saturated = qv.saturated;
-      entry.overflow = static_cast<uint64_t>(view.histogram->overflow());
-      snap.entries.push_back(std::move(entry));
-    }
+  for (double q : view.quantiles) {
+    std::snprintf(suffix, sizeof(suffix), ".p%g", q * 100.0);
+    view.quantile_names.push_back(name + suffix);
   }
-  history_.push_back(std::move(snap));
-  return history_.back();
+  const bool inserted = histograms_.emplace(name, std::move(view)).second;
+  MEMGOAL_CHECK_MSG(inserted, "histogram registered twice");
 }
 
 namespace {
@@ -141,42 +118,101 @@ const char* KindName(Registry::Kind kind) {
   return "unknown";
 }
 
-}  // namespace
+// The length argument of a "%.*s" conversion.
+int Len(std::string_view s) { return static_cast<int>(s.size()); }
 
-void Registry::WriteCsv(std::FILE* out) const {
-  std::fprintf(out,
-               "interval,sim_time_ms,name,kind,value,delta,saturated,"
-               "overflow\n");
-  for (const Snapshot& snap : history_) {
-    for (const SnapshotEntry& e : snap.entries) {
-      std::fprintf(out,
-                   "%d,%.3f,%s,%s,%.17g,%" PRIu64 ",%d,%" PRIu64 "\n",
-                   snap.interval, snap.sim_time_ms, e.name.c_str(),
-                   KindName(e.kind), e.value, e.delta,
-                   e.saturated ? 1 : 0, e.overflow);
-    }
+void WriteCsvRows(const Registry::Snapshot& snap, std::FILE* out) {
+  for (const Registry::SnapshotEntry& e : snap.entries) {
+    std::fprintf(out, "%d,%.3f,%.*s,%s,%.17g,%" PRIu64 ",%d,%" PRIu64 "\n",
+                 snap.interval, snap.sim_time_ms, Len(e.name), e.name.data(),
+                 KindName(e.kind), e.value, e.delta, e.saturated ? 1 : 0,
+                 e.overflow);
   }
 }
 
-void Registry::WriteJsonl(std::FILE* out) const {
-  for (const Snapshot& snap : history_) {
-    std::fprintf(out, "{\"interval\":%d,\"sim_time_ms\":%.3f,\"metrics\":{",
-                 snap.interval, snap.sim_time_ms);
-    bool first = true;
-    for (const SnapshotEntry& e : snap.entries) {
-      std::fprintf(out, "%s\"%s\":%.17g", first ? "" : ",", e.name.c_str(),
-                   e.value);
-      first = false;
-    }
-    std::fprintf(out, "},\"saturated\":[");
-    first = true;
-    for (const SnapshotEntry& e : snap.entries) {
-      if (!e.saturated) continue;
-      std::fprintf(out, "%s\"%s\"", first ? "" : ",", e.name.c_str());
-      first = false;
-    }
-    std::fprintf(out, "]}\n");
+void WriteJsonlLine(const Registry::Snapshot& snap, std::FILE* out) {
+  std::fprintf(out, "{\"interval\":%d,\"sim_time_ms\":%.3f,\"metrics\":{",
+               snap.interval, snap.sim_time_ms);
+  bool first = true;
+  for (const Registry::SnapshotEntry& e : snap.entries) {
+    std::fprintf(out, "%s\"%.*s\":%.17g", first ? "" : ",",
+                 Len(e.name), e.name.data(), e.value);
+    first = false;
   }
+  std::fprintf(out, "},\"saturated\":[");
+  first = true;
+  for (const Registry::SnapshotEntry& e : snap.entries) {
+    if (!e.saturated) continue;
+    std::fprintf(out, "%s\"%.*s\"", first ? "" : ",",
+                 Len(e.name), e.name.data());
+    first = false;
+  }
+  std::fprintf(out, "]}\n");
+}
+
+}  // namespace
+
+const Registry::Snapshot& Registry::TakeSnapshot(int interval,
+                                                 double sim_time_ms) {
+  last_.interval = interval;
+  last_.sim_time_ms = sim_time_ms;
+  std::vector<SnapshotEntry>& entries = last_.entries;
+  entries.clear();  // keeps its capacity
+  uint64_t total_regressions = 0;
+  for (auto& [name, counter] : counters_) {
+    SnapshotEntry& entry = entries.emplace_back();
+    entry.name = name;
+    entry.kind = Kind::kCounter;
+    entry.value = static_cast<double>(counter.value_);
+    entry.delta = counter.value_ - counter.snapshot_base_;
+    counter.snapshot_base_ = counter.value_;
+    total_regressions += counter.regressions_;
+  }
+  // Mirror-health telemetry: only materialized once a clamp has happened,
+  // so healthy runs don't grow a permanently-zero instrument.
+  if (total_regressions > 0) {
+    SnapshotEntry& entry = entries.emplace_back();
+    entry.name = "obs.counter_regressions";
+    entry.kind = Kind::kCounter;
+    entry.value = static_cast<double>(total_regressions);
+    entry.delta = total_regressions - regressions_snapshot_base_;
+    regressions_snapshot_base_ = total_regressions;
+  }
+  for (const auto& [name, gauge] : gauges_) {
+    SnapshotEntry& entry = entries.emplace_back();
+    entry.name = name;
+    entry.kind = Kind::kGauge;
+    entry.value = gauge.value();
+  }
+  for (const auto& [name, view] : histograms_) {
+    for (size_t i = 0; i < view.quantiles.size(); ++i) {
+      const common::Histogram::QuantileValue qv =
+          view.histogram->QuantileWithSaturation(view.quantiles[i]);
+      SnapshotEntry& entry = entries.emplace_back();
+      entry.name = view.quantile_names[i];
+      entry.kind = Kind::kQuantile;
+      entry.value = qv.value;
+      entry.saturated = qv.saturated;
+      entry.overflow = static_cast<uint64_t>(view.histogram->overflow());
+    }
+  }
+  ++snapshots_taken_;
+  if (csv_ != nullptr) WriteCsvRows(last_, csv_);
+  if (jsonl_ != nullptr) WriteJsonlLine(last_, jsonl_);
+  return last_;
+}
+
+void Registry::AttachCsv(std::FILE* out) {
+  MEMGOAL_CHECK(out != nullptr && csv_ == nullptr);
+  std::fprintf(out,
+               "interval,sim_time_ms,name,kind,value,delta,saturated,"
+               "overflow\n");
+  csv_ = out;
+}
+
+void Registry::AttachJsonl(std::FILE* out) {
+  MEMGOAL_CHECK(out != nullptr && jsonl_ == nullptr);
+  jsonl_ = out;
 }
 
 }  // namespace memgoal::obs

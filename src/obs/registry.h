@@ -4,7 +4,10 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/stats.h"
@@ -13,7 +16,8 @@ namespace memgoal::obs {
 
 /// Unified metrics registry: named counters, gauges and histogram views
 /// behind one interface, snapshotted once per observation interval and
-/// exportable as CSV (long format) and JSONL (one object per interval).
+/// streamed, as each snapshot is taken, to attached CSV (long format) and
+/// JSONL (one object per interval) files.
 ///
 /// It replaces three previously disjoint telemetry paths — the controller's
 /// `ProtocolStats` struct, the per-interval `MetricsLog`, and ad-hoc
@@ -21,6 +25,11 @@ namespace memgoal::obs {
 /// registry-allocated instrument (Counter/Gauge pointers are stable for the
 /// registry's lifetime) or mirror an externally accumulated value into one
 /// at snapshot time via Counter::Set / Gauge::Set.
+///
+/// The registry keeps no history, so its memory depends on the number of
+/// instruments, not on run length: each snapshot overwrites the last one in
+/// place, and its entries are views onto names interned once per run. Once
+/// the set of instruments stops growing, a snapshot allocates nothing.
 ///
 /// Naming convention: dot-separated paths, lowest-cardinality prefix first,
 /// e.g. "class1.access.local_buffer", "node0.cpu.wait", "ctrl.goal.checks".
@@ -78,11 +87,21 @@ class Registry {
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
 
+  /// Sets each named counter (gauge) to its paired value, for publishers
+  /// that mirror a fixed list of values every interval. `cache` keeps the
+  /// instruments from the first call on, so only that call looks names up;
+  /// every call must pass the same names in the same order.
+  void SetCounters(std::span<const std::pair<const char*, uint64_t>> values,
+                   std::vector<Counter*>* cache);
+  void SetGauges(std::span<const std::pair<const char*, double>> values,
+                 std::vector<Gauge*>* cache);
+
   /// Registers a *view* onto a histogram owned elsewhere (e.g. a
   /// sim::Resource's wait/busy histogram). Each snapshot evaluates the
   /// given quantiles and carries the saturation flag and overflow count, so
   /// exports can mark quantiles clipped at the histogram's upper bound
-  /// instead of silently under-reporting saturated tails.
+  /// instead of silently under-reporting saturated tails. A name is
+  /// registered once.
   void RegisterHistogram(const std::string& name,
                          const common::Histogram* histogram,
                          std::vector<double> quantiles);
@@ -90,7 +109,9 @@ class Registry {
   enum class Kind { kCounter, kGauge, kQuantile };
 
   struct SnapshotEntry {
-    std::string name;  // quantiles export as "<name>.p<q*100>"
+    // Views a name the registry interned; valid for the registry's
+    // lifetime. Quantiles are named "<name>.p<q*100>".
+    std::string_view name;
     Kind kind = Kind::kCounter;
     double value = 0.0;
     uint64_t delta = 0;        // counters: increase since last snapshot
@@ -104,33 +125,45 @@ class Registry {
     std::vector<SnapshotEntry> entries;
   };
 
-  /// Captures every instrument, rolls counter deltas forward, and appends
-  /// the snapshot to the retained history.
+  /// Captures every instrument into last(), rolls counter deltas forward,
+  /// and writes the snapshot to every attached stream.
   const Snapshot& TakeSnapshot(int interval, double sim_time_ms);
 
-  const std::vector<Snapshot>& history() const { return history_; }
+  /// The most recent snapshot; empty before the first.
+  const Snapshot& last() const { return last_; }
+  uint64_t snapshots_taken() const { return snapshots_taken_; }
 
-  /// Long-format CSV: interval,sim_time_ms,name,kind,value,delta,saturated,
-  /// overflow — one row per instrument per interval.
-  void WriteCsv(std::FILE* out) const;
+  /// Streams every later snapshot to `out` as long-format CSV:
+  /// interval,sim_time_ms,name,kind,value,delta,saturated,overflow — one
+  /// row per instrument per snapshot. Writes the header now. At most one
+  /// CSV stream; the caller keeps `out` open until the last snapshot, then
+  /// closes it.
+  void AttachCsv(std::FILE* out);
 
-  /// One JSON object per interval:
+  /// Streams every later snapshot to `out` as one JSON object per line:
   /// {"interval":..,"sim_time_ms":..,"metrics":{name:value,...},
-  ///  "saturated":[names...]}.
-  void WriteJsonl(std::FILE* out) const;
+  ///  "saturated":[names...]}. At most one JSONL stream, kept open as for
+  /// AttachCsv.
+  void AttachJsonl(std::FILE* out);
 
  private:
   struct HistogramView {
     const common::Histogram* histogram = nullptr;
     std::vector<double> quantiles;
+    // The export name of each quantile, formatted at registration.
+    std::vector<std::string> quantile_names;
   };
 
-  // std::map: stable node addresses for handed-out pointers and
-  // deterministic (naturally sorted: class2 before class10) export order.
+  // std::map: stable node addresses for handed-out pointers and interned
+  // names, and deterministic (naturally sorted: class2 before class10)
+  // export order.
   std::map<std::string, Counter, NaturalLess> counters_;
   std::map<std::string, Gauge, NaturalLess> gauges_;
   std::map<std::string, HistogramView, NaturalLess> histograms_;
-  std::vector<Snapshot> history_;
+  Snapshot last_;
+  uint64_t snapshots_taken_ = 0;
+  std::FILE* csv_ = nullptr;
+  std::FILE* jsonl_ = nullptr;
   // Delta base for the synthetic "obs.counter_regressions" entry.
   uint64_t regressions_snapshot_base_ = 0;
 };

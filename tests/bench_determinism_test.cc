@@ -56,17 +56,38 @@ ExperimentSetup SmallSetup(uint64_t seed) {
   return setup;
 }
 
+// An in-memory FILE* whose bytes are read back once it is closed.
+class MemoryStream {
+ public:
+  MemoryStream() : file_(open_memstream(&buf_, &size_)) {}
+  MemoryStream(const MemoryStream&) = delete;
+  MemoryStream& operator=(const MemoryStream&) = delete;
+  ~MemoryStream() {
+    if (file_ != nullptr) std::fclose(file_);
+    std::free(buf_);
+  }
+
+  std::FILE* file() const { return file_; }
+
+  // Closes the stream and returns every byte written to it.
+  std::string Take() {
+    std::fclose(file_);
+    file_ = nullptr;
+    return std::string(buf_, size_);
+  }
+
+ private:
+  char* buf_ = nullptr;
+  size_t size_ = 0;
+  std::FILE* file_ = nullptr;
+};
+
 // The bytes `write` emits to a FILE*.
 template <typename WriteFn>
 std::string Capture(WriteFn&& write) {
-  char* buf = nullptr;
-  size_t size = 0;
-  std::FILE* stream = open_memstream(&buf, &size);
-  write(stream);
-  std::fclose(stream);
-  std::string bytes(buf, size);
-  std::free(buf);
-  return bytes;
+  MemoryStream stream;
+  write(stream.file());
+  return stream.Take();
 }
 
 // Renders a run's full interval log as CSV, the same bytes
@@ -206,8 +227,9 @@ TEST(DeterminismTest, MeasureConvergenceDefaultsToInlineRunner) {
 // Golden digests of whole-scenario runs.
 //
 // Each case below is a complete cluster run reduced to its observable
-// outputs — event count, interval metrics CSV, controller decision log and
-// (when tracked) attainment JSONL — and pinned by FNV-1a digest. The cases
+// outputs — event count, interval metrics CSV, controller decision log,
+// the metrics registry's CSV and JSONL export and (when tracked) attainment
+// JSONL — and pinned by FNV-1a digest. The cases
 // cover every checked-in scenario file, generated chaos schedules (also
 // through their repro-file text form), burst loss with the auditor, active
 // corruption with scrubbing, the corruption machinery at rate zero,
@@ -223,6 +245,8 @@ struct RunOutputs {
   std::string decision_jsonl;
   std::string attainment_jsonl;
   std::string trace_json;
+  /// The registry's CSV export followed by its JSONL export.
+  std::string registry_export;
 };
 
 uint64_t Fnv1a(const std::string& bytes) {
@@ -293,6 +317,10 @@ std::optional<RunOutputs> RunCase(const GoldenCase& c) {
   }
   sim::InvariantAuditor auditor;
   if (scenario->audit) system.EnableAuditor(&auditor);
+  MemoryStream registry_csv;
+  MemoryStream registry_jsonl;
+  system.registry().AttachCsv(registry_csv.file());
+  system.registry().AttachJsonl(registry_jsonl.file());
   system.Start();
   system.RunIntervals(scenario->intervals);
   EXPECT_TRUE(!scenario->audit || auditor.ok()) << c.name;
@@ -310,6 +338,7 @@ std::optional<RunOutputs> RunCase(const GoldenCase& c) {
         Capture([&](std::FILE* f) { tracker.WriteJsonl(f); });
   }
   if (c.trace_digest.has_value()) tracer.AppendJson(&out.trace_json);
+  out.registry_export = registry_csv.Take() + registry_jsonl.Take();
   return out;
 }
 
@@ -416,48 +445,51 @@ struct GoldenDigests {
   uint64_t decision_jsonl;
   /// 0 when the case does not track attainment.
   uint64_t attainment_jsonl;
+  uint64_t registry_export;
 };
 
 // Recorded before the event queue and the LP solver were reduced to one
 // implementation each, where the calendar queue and the binary heap, and
 // the revised and dense simplex, still produced these bytes identically.
+// The registry digests (last column) were recorded while the registry kept
+// every snapshot and exported the whole history at the end of the run.
 constexpr GoldenDigests kGolden[] = {
     {"base.conf", 167669u, 0x154120DC3F5A3C48ull, 0x8273710A041BFB3Eull,
-     0x0000000000000000ull},
+     0x0000000000000000ull, 0x909263CEDD115B13ull},
     {"corrupt.conf", 168377u, 0x375FE475E817FB57ull, 0xF52C3324E61F425Eull,
-     0x0000000000000000ull},
+     0x0000000000000000ull, 0xCCD340B0A316A882ull},
     {"faults.conf", 168317u, 0x567381C4B0A21547ull, 0xF2CAB393807069D8ull,
-     0x0000000000000000ull},
+     0x0000000000000000ull, 0x3556BFDB6A420F45ull},
     {"gray.conf", 167669u, 0x154120DC3F5A3C48ull, 0x8273710A041BFB3Eull,
-     0x0000000000000000ull},
+     0x0000000000000000ull, 0x909263CEDD115B13ull},
     {"oltp_dss.conf", 99551u, 0x80AA29E818BFD46Full, 0x93A6866F0F2CC5AEull,
-     0x0000000000000000ull},
+     0x0000000000000000ull, 0x8580281A8FD7CED6ull},
     {"partition.conf", 167669u, 0x154120DC3F5A3C48ull, 0x8273710A041BFB3Eull,
-     0x0000000000000000ull},
+     0x0000000000000000ull, 0x5ADA5CBCEE8AE8ADull},
     {"chaos_seed=11", 68230u, 0xBEB58FF65C76FBDBull, 0x2000BEB85B4458F7ull,
-     0x0000000000000000ull},
+     0x0000000000000000ull, 0xD1B45C926D10A5DDull},
     {"chaos_seed=4242", 78289u, 0x7FA7322535339397ull, 0x92CF6CDA046EB51Cull,
-     0x0000000000000000ull},
+     0x0000000000000000ull, 0xAD0BB8DB9305C777ull},
     {"chaos_seed=987654321", 77163u, 0xC7C6A462DD852343ull, 0x50769F5CD6F8DDFCull,
-     0x0000000000000000ull},
+     0x0000000000000000ull, 0x64DE43378141383Cull},
     {"repro-file-777", 41675u, 0xAC276CCCD50EBFAFull, 0xC7AA9588845B9E7Bull,
-     0x0000000000000000ull},
+     0x0000000000000000ull, 0xE13BFC7F5E7A3997ull},
     {"burst-loss+audit", 24489u, 0x9C0BF2841ED14ECFull, 0xA45B0752EB4E634Bull,
-     0x0000000000000000ull},
+     0x0000000000000000ull, 0x2B1E46CC2A8B905Full},
     {"corruption+scrub", 95179u, 0x4F2813A6650F4D29ull, 0xF9373305E76AB8C8ull,
-     0x0000000000000000ull},
+     0x0000000000000000ull, 0x68B9010512BA741Dull},
     {"crashes", 88822u, 0x9CE540EC09B15C78ull, 0x0A80A04406BE58D2ull,
-     0x0000000000000000ull},
+     0x0000000000000000ull, 0xE4501DE4B8D18FACull},
     {"crashes+zero-rate-corruption", 88822u, 0x9CE540EC09B15C78ull, 0x0A80A04406BE58D2ull,
-     0x0000000000000000ull},
+     0x0000000000000000ull, 0xE4501DE4B8D18FACull},
     {"crashes+attainment", 88822u, 0x9CE540EC09B15C78ull, 0x02DB7D9E55335C60ull,
-     0x0125739A0C539EFEull},
+     0x0125739A0C539EFEull, 0x3A1DA2454BDCB33Dull},
     // Recorded before the page-access path was split into stages.
     {"crashes+gray+trace", 81558u, 0x2FCDA9CE89131B81ull, 0xB0B235C8FC67804Full,
-     0x6C212FA56DD13EF1ull},
+     0x6C212FA56DD13EF1ull, 0x9002AE2BD4B529ACull},
     // Recorded while the heat sweep still scanned every record.
     {"heat-sweep+crash+partition", 128279u, 0xCB201FE1350D0344ull,
-     0x48764E36E7240303ull, 0x0000000000000000ull},
+     0x48764E36E7240303ull, 0x0000000000000000ull, 0x0BFE6362AF313E91ull},
 };
 
 TEST(GoldenDigest, EveryCaseReplaysItsPinnedOutputs) {
@@ -472,15 +504,17 @@ TEST(GoldenDigest, EveryCaseReplaysItsPinnedOutputs) {
     const GoldenDigests got = {
         c.name.c_str(), out->events, Fnv1a(out->metrics_csv),
         Fnv1a(out->decision_jsonl),
-        c.track_attainment ? Fnv1a(out->attainment_jsonl) : 0};
-    char line[192];
+        c.track_attainment ? Fnv1a(out->attainment_jsonl) : 0,
+        Fnv1a(out->registry_export)};
+    char line[224];
     std::snprintf(line, sizeof(line),
                   "    {\"%s\", %lluu, 0x%016llXull, 0x%016llXull,\n"
-                  "     0x%016llXull},\n",
+                  "     0x%016llXull, 0x%016llXull},\n",
                   got.name, static_cast<unsigned long long>(got.events),
                   static_cast<unsigned long long>(got.metrics_csv),
                   static_cast<unsigned long long>(got.decision_jsonl),
-                  static_cast<unsigned long long>(got.attainment_jsonl));
+                  static_cast<unsigned long long>(got.attainment_jsonl),
+                  static_cast<unsigned long long>(got.registry_export));
     table << line;
     const GoldenDigests* pinned = nullptr;
     for (const GoldenDigests& g : kGolden) {
@@ -489,7 +523,8 @@ TEST(GoldenDigest, EveryCaseReplaysItsPinnedOutputs) {
     if (pinned == nullptr || pinned->events != got.events ||
         pinned->metrics_csv != got.metrics_csv ||
         pinned->decision_jsonl != got.decision_jsonl ||
-        pinned->attainment_jsonl != got.attainment_jsonl) {
+        pinned->attainment_jsonl != got.attainment_jsonl ||
+        pinned->registry_export != got.registry_export) {
       ADD_FAILURE() << c.name << ": outputs differ from the pinned digests";
       mismatch = true;
     }
@@ -522,6 +557,7 @@ TEST(GoldenDigest, EveryCaseReplaysItsPinnedOutputs) {
   EXPECT_EQ(bare.events, zero_rate.events);
   EXPECT_EQ(bare.metrics_csv, zero_rate.metrics_csv);
   EXPECT_EQ(bare.decision_jsonl, zero_rate.decision_jsonl);
+  EXPECT_EQ(bare.registry_export, zero_rate.registry_export);
   // The attainment tracker is a pure observer: the simulation is unchanged
   // (its decision records legitimately gain miss-card fields).
   const RunOutputs& tracked = runs.at("crashes+attainment");

@@ -262,13 +262,13 @@ TEST(GoalControllerTest, PublishMetricsMirrorsProtocolStatsIntoRegistry) {
 
   const auto& controller =
       dynamic_cast<GoalOrientedController&>(system.controller());
-  const auto& history = system.registry().history();
-  ASSERT_EQ(history.size(), 10u);
+  const obs::Registry& registry = system.registry();
+  ASSERT_EQ(registry.snapshots_taken(), 10u);
   // Snapshots are taken right after each controller interval hook, before
   // the (1 ms delayed) coordinator check coroutine runs, so the last
   // snapshot reflects the counters as of the previous check.
   auto find = [&](const std::string& name) -> const obs::Registry::SnapshotEntry* {
-    for (const auto& entry : history.back().entries) {
+    for (const auto& entry : registry.last().entries) {
       if (entry.name == name) return &entry;
     }
     return nullptr;

@@ -1,7 +1,10 @@
 #include "obs/registry.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -9,21 +12,53 @@
 
 #include "common/stats.h"
 
+// Counts every global operator new in this binary, so a test can assert
+// that a code path allocates nothing. The deletes are replaced alongside so
+// each allocation is freed by its matching function.
+namespace {
+std::atomic<uint64_t> g_news{0};
+
+void* CountedNew(std::size_t size) {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedNew(size); }
+void* operator new[](std::size_t size) { return CountedNew(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
 namespace memgoal::obs {
 namespace {
 
-// Reads a whole FILE* produced by the Write* helpers via tmpfile().
-std::string Slurp(void (*write)(Registry*, std::FILE*), Registry* registry) {
-  std::FILE* file = std::tmpfile();
-  EXPECT_NE(file, nullptr);
-  write(registry, file);
-  std::fseek(file, 0, SEEK_END);
+// Everything written so far to a tmpfile() stream, leaving it open for
+// further writes.
+std::string Contents(std::FILE* file) {
+  std::fflush(file);
   const long size = std::ftell(file);
   std::fseek(file, 0, SEEK_SET);
   std::string text(static_cast<size_t>(size), '\0');
   EXPECT_EQ(std::fread(text.data(), 1, text.size(), file), text.size());
-  std::fclose(file);
+  std::fseek(file, 0, SEEK_END);
   return text;
+}
+
+std::vector<std::string> Lines(const std::string& text) {
+  std::vector<std::string> lines;
+  size_t begin = 0;
+  for (size_t end; (end = text.find('\n', begin)) != std::string::npos;
+       begin = end + 1) {
+    lines.push_back(text.substr(begin, end - begin));
+  }
+  return lines;
 }
 
 TEST(RegistryTest, CounterAccumulatesAndReportsDeltas) {
@@ -32,8 +67,11 @@ TEST(RegistryTest, CounterAccumulatesAndReportsDeltas) {
   counter->Add();
   counter->Add(4);
   EXPECT_EQ(counter->value(), 5u);
+  EXPECT_EQ(registry.snapshots_taken(), 0u);
+  EXPECT_TRUE(registry.last().entries.empty());
 
   const Registry::Snapshot& first = registry.TakeSnapshot(0, 5000.0);
+  EXPECT_EQ(&first, &registry.last());
   ASSERT_EQ(first.entries.size(), 1u);
   EXPECT_EQ(first.entries[0].name, "ctrl.checks");
   EXPECT_EQ(first.entries[0].kind, Registry::Kind::kCounter);
@@ -41,7 +79,11 @@ TEST(RegistryTest, CounterAccumulatesAndReportsDeltas) {
   EXPECT_EQ(first.entries[0].delta, 5u);
 
   counter->Add(2);
-  const Registry::Snapshot& second = registry.TakeSnapshot(1, 10000.0);
+  registry.TakeSnapshot(1, 10000.0);
+  const Registry::Snapshot& second = registry.last();
+  EXPECT_EQ(registry.snapshots_taken(), 2u);
+  EXPECT_EQ(second.interval, 1);
+  EXPECT_DOUBLE_EQ(second.sim_time_ms, 10000.0);
   EXPECT_DOUBLE_EQ(second.entries[0].value, 7.0);
   EXPECT_EQ(second.entries[0].delta, 2u);  // per-interval rate, not total
 }
@@ -112,6 +154,25 @@ TEST(RegistryTest, InstrumentPointersAreStableAndShared) {
   EXPECT_DOUBLE_EQ(registry.GetGauge("g")->value(), 3.5);
 }
 
+TEST(RegistryTest, SetCountersAndGaugesResolveNamesOnce) {
+  Registry registry;
+  std::vector<Registry::Counter*> counters;
+  std::vector<Registry::Gauge*> gauges;
+  const std::pair<const char*, uint64_t> first[] = {{"a", 3}, {"b", 4}};
+  registry.SetCounters(first, &counters);
+  ASSERT_EQ(counters.size(), 2u);
+  EXPECT_EQ(counters[0], registry.GetCounter("a"));
+  const std::pair<const char*, uint64_t> second[] = {{"a", 5}, {"b", 9}};
+  registry.SetCounters(second, &counters);
+  EXPECT_EQ(counters.size(), 2u);
+  EXPECT_EQ(registry.GetCounter("b")->value(), 9u);
+
+  const std::pair<const char*, double> levels[] = {{"g", 1.5}};
+  registry.SetGauges(levels, &gauges);
+  ASSERT_EQ(gauges.size(), 1u);
+  EXPECT_DOUBLE_EQ(registry.GetGauge("g")->value(), 1.5);
+}
+
 TEST(RegistryTest, HistogramViewExportsQuantilesWithSaturation) {
   common::Histogram histogram(1.0, 100.0, 20);
   for (int i = 0; i < 90; ++i) histogram.Add(10.0);
@@ -121,6 +182,7 @@ TEST(RegistryTest, HistogramViewExportsQuantilesWithSaturation) {
   const Registry::Snapshot& ok = registry.TakeSnapshot(0, 1.0);
   ASSERT_EQ(ok.entries.size(), 2u);
   EXPECT_EQ(ok.entries[0].name, "disk.wait.p50");
+  EXPECT_EQ(ok.entries[1].name, "disk.wait.p99");
   EXPECT_EQ(ok.entries[0].kind, Registry::Kind::kQuantile);
   EXPECT_FALSE(ok.entries[0].saturated);
   EXPECT_EQ(ok.entries[0].overflow, 0u);
@@ -135,26 +197,123 @@ TEST(RegistryTest, HistogramViewExportsQuantilesWithSaturation) {
   EXPECT_DOUBLE_EQ(sat.entries[1].value, 100.0);  // clipped at hi
 }
 
-TEST(RegistryTest, CsvAndJsonlCarryEveryInstrument) {
+TEST(RegistryTest, StreamsCarryEverySnapshotAsItIsTaken) {
   Registry registry;
+  std::FILE* csv = std::tmpfile();
+  std::FILE* jsonl = std::tmpfile();
+  ASSERT_NE(csv, nullptr);
+  ASSERT_NE(jsonl, nullptr);
+  registry.AttachCsv(csv);
+  registry.AttachJsonl(jsonl);
+  // The CSV header is written once, at attach time.
+  EXPECT_EQ(Contents(csv),
+            "interval,sim_time_ms,name,kind,value,delta,saturated,"
+            "overflow\n");
+  EXPECT_EQ(Contents(jsonl), "");
+
+  common::Histogram histogram(1.0, 100.0, 20);
+  histogram.Add(1000.0);
+  registry.RegisterHistogram("h", &histogram, {0.5});
   registry.GetCounter("c")->Add(3);
   registry.GetGauge("g")->Set(1.25);
   registry.TakeSnapshot(0, 5000.0);
+  EXPECT_EQ(Contents(csv),
+            "interval,sim_time_ms,name,kind,value,delta,saturated,overflow\n"
+            "0,5000.000,c,counter,3,3,0,0\n"
+            "0,5000.000,g,gauge,1.25,0,0,0\n"
+            "0,5000.000,h.p50,quantile,100,0,1,1\n");
+  EXPECT_EQ(Contents(jsonl),
+            "{\"interval\":0,\"sim_time_ms\":5000.000,\"metrics\":{\"c\":3,"
+            "\"g\":1.25,\"h.p50\":100},\"saturated\":[\"h.p50\"]}\n");
 
-  const std::string csv = Slurp(
-      [](Registry* r, std::FILE* f) { r->WriteCsv(f); }, &registry);
-  EXPECT_NE(csv.find("interval,sim_time_ms,name,kind,value,delta"),
-            std::string::npos);
-  EXPECT_NE(csv.find("0,5000.000,c,counter,3,3,0,0"), std::string::npos);
-  EXPECT_NE(csv.find(",g,gauge,1.25,"), std::string::npos);
+  registry.GetCounter("c")->Add(1);
+  registry.TakeSnapshot(1, 5500.25);
+  const std::vector<std::string> csv_lines = Lines(Contents(csv));
+  ASSERT_EQ(csv_lines.size(), 7u);
+  EXPECT_EQ(std::count(csv_lines.begin(), csv_lines.end(), csv_lines[0]), 1);
+  EXPECT_EQ(csv_lines[4], "1,5500.250,c,counter,4,1,0,0");
+  // One JSONL line per snapshot.
+  const std::vector<std::string> jsonl_lines = Lines(Contents(jsonl));
+  ASSERT_EQ(jsonl_lines.size(), 2u);
+  EXPECT_EQ(jsonl_lines[1].rfind("{\"interval\":1,\"sim_time_ms\":5500.250,"
+                                 "\"metrics\":{\"c\":4,",
+                                 0),
+            0u);
+  std::fclose(csv);
+  std::fclose(jsonl);
+}
 
-  const std::string jsonl = Slurp(
-      [](Registry* r, std::FILE* f) { r->WriteJsonl(f); }, &registry);
-  EXPECT_NE(jsonl.find("\"interval\":0"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"c\":3"), std::string::npos);
-  EXPECT_NE(jsonl.find("\"g\":1.25"), std::string::npos);
-  // One line per snapshot.
-  EXPECT_EQ(std::count(jsonl.begin(), jsonl.end(), '\n'), 1);
+TEST(RegistryTest, InstrumentCreatedMidRunAppearsFromItsFirstSnapshot) {
+  Registry registry;
+  std::FILE* csv = std::tmpfile();
+  std::FILE* jsonl = std::tmpfile();
+  ASSERT_NE(csv, nullptr);
+  ASSERT_NE(jsonl, nullptr);
+  registry.AttachCsv(csv);
+  registry.AttachJsonl(jsonl);
+  registry.GetCounter("early")->Add(1);
+  constexpr int kCreatedBefore = 3;
+  constexpr int kSnapshots = 6;
+  for (int k = 0; k < kSnapshots; ++k) {
+    if (k == kCreatedBefore) registry.GetGauge("late")->Set(2.0);
+    registry.TakeSnapshot(k, 1000.0 * k);
+  }
+
+  std::vector<int> late_rows;
+  for (const std::string& line : Lines(Contents(csv))) {
+    if (line.find(",late,gauge,") != std::string::npos) {
+      late_rows.push_back(std::stoi(line));
+    }
+  }
+  EXPECT_EQ(late_rows, (std::vector<int>{3, 4, 5}));
+  const std::vector<std::string> jsonl_lines = Lines(Contents(jsonl));
+  ASSERT_EQ(jsonl_lines.size(), static_cast<size_t>(kSnapshots));
+  for (int k = 0; k < kSnapshots; ++k) {
+    EXPECT_EQ(jsonl_lines[k].find("\"late\":2") != std::string::npos,
+              k >= kCreatedBefore)
+        << jsonl_lines[k];
+  }
+  std::fclose(csv);
+  std::fclose(jsonl);
+}
+
+TEST(RegistryTest, SteadyStateSnapshotAllocatesNothing) {
+  Registry registry;
+  std::FILE* csv = std::tmpfile();
+  std::FILE* jsonl = std::tmpfile();
+  ASSERT_NE(csv, nullptr);
+  ASSERT_NE(jsonl, nullptr);
+  registry.AttachCsv(csv);
+  registry.AttachJsonl(jsonl);
+  common::Histogram histogram(1.0, 100.0, 20);
+  registry.RegisterHistogram("node0.cpu.wait_ms", &histogram, {0.5, 0.99});
+  std::vector<Registry::Counter*> counters;
+  const uint64_t setup_start = g_news.load();
+  for (int i = 0; i < 40; ++i) {
+    counters.push_back(
+        registry.GetCounter("class" + std::to_string(i) + ".access.disk"));
+    registry.GetGauge("class" + std::to_string(i) + ".rt.observed_ms");
+  }
+  // The counting operator new is live: creating instruments allocates.
+  ASSERT_GE(g_news.load() - setup_start, 80u);
+  counters[7]->Set(10);
+  counters[7]->Set(5);  // a clamp: the synthetic regressions entry appears
+  histogram.Add(1000.0);  // a saturated quantile
+  registry.TakeSnapshot(0, 0.0);
+
+  const uint64_t before = g_news.load();
+  for (int k = 1; k <= 1000; ++k) {
+    for (Registry::Counter* counter : counters) counter->Add(3);
+    histogram.Add(static_cast<double>(k % 90));
+    registry.TakeSnapshot(k, 1000.0 * k);
+  }
+  const uint64_t allocations = g_news.load() - before;
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(registry.snapshots_taken(), 1001u);
+  EXPECT_EQ(registry.last().entries.size(), 40u + 1u + 40u + 2u);
+  EXPECT_EQ(Lines(Contents(jsonl)).size(), 1001u);
+  std::fclose(csv);
+  std::fclose(jsonl);
 }
 
 TEST(RegistryTest, SnapshotsOrderClassColumnsNaturally) {
@@ -162,6 +321,9 @@ TEST(RegistryTest, SnapshotsOrderClassColumnsNaturally) {
   // class2 before class10 — not in lexicographic or hash-map order, so CSV
   // snapshots diff cleanly across runs regardless of registration order.
   Registry registry;
+  std::FILE* csv = std::tmpfile();
+  ASSERT_NE(csv, nullptr);
+  registry.AttachCsv(csv);
   registry.GetCounter("class10.ops")->Add(1);
   registry.GetCounter("class2.ops")->Add(2);
   registry.GetCounter("class1.ops")->Add(3);
@@ -171,7 +333,7 @@ TEST(RegistryTest, SnapshotsOrderClassColumnsNaturally) {
 
   std::vector<std::string> names;
   for (const Registry::SnapshotEntry& entry : snap.entries) {
-    names.push_back(entry.name);
+    names.emplace_back(entry.name);
   }
   const std::vector<std::string> expected = {
       "class1.ops", "class2.ops", "class10.ops",
@@ -179,10 +341,10 @@ TEST(RegistryTest, SnapshotsOrderClassColumnsNaturally) {
   EXPECT_EQ(names, expected);
 
   // The CSV serialization preserves that order.
-  const std::string csv = Slurp(
-      [](Registry* r, std::FILE* f) { r->WriteCsv(f); }, &registry);
-  EXPECT_LT(csv.find("class2.ops"), csv.find("class10.ops"));
-  EXPECT_LT(csv.find("class2.budget"), csv.find("class10.budget"));
+  const std::string text = Contents(csv);
+  EXPECT_LT(text.find("class2.ops"), text.find("class10.ops"));
+  EXPECT_LT(text.find("class2.budget"), text.find("class10.budget"));
+  std::fclose(csv);
 }
 
 }  // namespace

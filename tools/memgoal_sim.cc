@@ -55,7 +55,8 @@
 //                                      spans (open in Perfetto / about:tracing)
 //   decision_log                     — JSONL, one controller decision record
 //                                      per coordinator check
-//   obs_csv, obs_jsonl               — metrics-registry snapshot history
+//   obs_csv, obs_jsonl               — metrics-registry snapshots,
+//                                      streamed once per interval
 //   attainment_out                   — per-(class, node, interval) response
 //                                      time budget rows + goal-miss root
 //                                      cause cards; ".csv" suffix selects
@@ -82,6 +83,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -110,20 +112,21 @@ bool EndsWithCsv(const std::string& path) {
 /// Emergency flush state: every configured observability sink, flushable
 /// exactly once. Armed while the simulation runs; a MEMGOAL_CHECK abort (or
 /// SIGINT/SIGTERM) lands in FlushSinksOnSignal, which writes whatever the
-/// run produced so far — each Write* emits only complete records, so a
+/// run produced so far — each Write* emits only complete records, and the
+/// registry's streams hold only the snapshots already taken, so a
 /// truncated run still yields parseable files. The simulator is
 /// single-threaded and the crash is synchronous, which is what makes the
 /// stdio calls here safe in practice despite signal-safety rules.
 struct EmergencySinks {
   std::string trace_path;
   std::string decision_path;
-  std::string obs_csv_path;
-  std::string obs_jsonl_path;
   std::string attainment_path;
   memgoal::obs::Tracer* tracer = nullptr;
   memgoal::obs::DecisionLog* decision_log = nullptr;
-  memgoal::obs::Registry* registry = nullptr;
   memgoal::obs::AttainmentTracker* attainment = nullptr;
+  // The registry's open streams.
+  std::FILE* obs_csv = nullptr;
+  std::FILE* obs_jsonl = nullptr;
   bool armed = false;
   bool flushed = false;
 
@@ -139,8 +142,8 @@ struct EmergencySinks {
     };
     write(trace_path, [&](std::FILE* f) { tracer->WriteJson(f); });
     write(decision_path, [&](std::FILE* f) { decision_log->WriteJsonl(f); });
-    write(obs_csv_path, [&](std::FILE* f) { registry->WriteCsv(f); });
-    write(obs_jsonl_path, [&](std::FILE* f) { registry->WriteJsonl(f); });
+    if (obs_csv != nullptr) std::fflush(obs_csv);
+    if (obs_jsonl != nullptr) std::fflush(obs_jsonl);
     write(attainment_path, [&](std::FILE* f) {
       if (EndsWithCsv(attainment_path)) {
         attainment->WriteCsv(f);
@@ -159,18 +162,29 @@ extern "C" void FlushSinksOnSignal(int sig) {
   std::raise(sig);
 }
 
+struct FileCloser {
+  void operator()(std::FILE* file) const { std::fclose(file); }
+};
+using UniqueFile = std::unique_ptr<std::FILE, FileCloser>;
+
+// Opens `path` for writing; on failure prints a message and returns null,
+// so a bad path fails the run visibly instead of silently.
+UniqueFile OpenOrComplain(const std::string& path, const char* what) {
+  UniqueFile file(std::fopen(path.c_str(), "w"));
+  if (file == nullptr) {
+    std::fprintf(stderr, "error: cannot write %s to %s\n", what, path.c_str());
+  }
+  return file;
+}
+
 // Writes `writer(file)` to `path`; returns false (with a message) on I/O
-// failure so a bad path fails the run visibly instead of silently.
+// failure.
 template <typename Writer>
 bool WriteFileOrComplain(const std::string& path, const char* what,
                          Writer&& writer) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "error: cannot write %s to %s\n", what, path.c_str());
-    return false;
-  }
-  writer(file);
-  std::fclose(file);
+  UniqueFile file = OpenOrComplain(path, what);
+  if (file == nullptr) return false;
+  writer(file.get());
   return true;
 }
 
@@ -235,17 +249,31 @@ int Run(memgoal::common::Config& config) {
     return 1;
   }
 
+  // The registry streams each snapshot to its files as it is taken, so
+  // they are opened, and a bad path rejected, before the run.
+  UniqueFile obs_csv;
+  UniqueFile obs_jsonl;
+  if (!obs_csv_path.empty()) {
+    obs_csv = OpenOrComplain(obs_csv_path, "metrics CSV");
+    if (obs_csv == nullptr) return 1;
+    system.registry().AttachCsv(obs_csv.get());
+  }
+  if (!obs_jsonl_path.empty()) {
+    obs_jsonl = OpenOrComplain(obs_jsonl_path, "metrics JSONL");
+    if (obs_jsonl == nullptr) return 1;
+    system.registry().AttachJsonl(obs_jsonl.get());
+  }
+
   // Arm the abnormal-exit sink flush for the duration of this call (the
   // sinks are Run()-locals, so the guard disarms before they go away).
   g_emergency_sinks.trace_path = trace_path;
   g_emergency_sinks.decision_path = decision_path;
-  g_emergency_sinks.obs_csv_path = obs_csv_path;
-  g_emergency_sinks.obs_jsonl_path = obs_jsonl_path;
   g_emergency_sinks.attainment_path = attainment_path;
   g_emergency_sinks.tracer = &tracer;
   g_emergency_sinks.decision_log = &decision_log;
-  g_emergency_sinks.registry = &system.registry();
   g_emergency_sinks.attainment = &attainment;
+  g_emergency_sinks.obs_csv = obs_csv.get();
+  g_emergency_sinks.obs_jsonl = obs_jsonl.get();
   g_emergency_sinks.armed = true;
   g_emergency_sinks.flushed = false;
   struct EmergencyDisarm {
@@ -281,18 +309,22 @@ int Run(memgoal::common::Config& config) {
     std::fprintf(stderr, "# decision log: %zu records -> %s\n",
                  decision_log.size(), decision_path.c_str());
   }
-  if (!obs_csv_path.empty()) {
-    obs_ok &=
-        WriteFileOrComplain(obs_csv_path, "metrics CSV", [&](std::FILE* f) {
-          system.registry().WriteCsv(f);
-        });
-  }
-  if (!obs_jsonl_path.empty()) {
-    obs_ok &=
-        WriteFileOrComplain(obs_jsonl_path, "metrics JSONL", [&](std::FILE* f) {
-          system.registry().WriteJsonl(f);
-        });
-  }
+  // The registry already streamed every snapshot; closing its files
+  // flushes the last ones and reports any failed write.
+  g_emergency_sinks.obs_csv = nullptr;
+  g_emergency_sinks.obs_jsonl = nullptr;
+  const auto close_stream = [&](UniqueFile& file, const std::string& path,
+                                const char* what) {
+    if (file == nullptr) return;
+    const bool write_failed = std::ferror(file.get()) != 0;
+    if (std::fclose(file.release()) != 0 || write_failed) {
+      std::fprintf(stderr, "error: cannot write %s to %s\n", what,
+                   path.c_str());
+      obs_ok = false;
+    }
+  };
+  close_stream(obs_csv, obs_csv_path, "metrics CSV");
+  close_stream(obs_jsonl, obs_jsonl_path, "metrics JSONL");
   if (!attainment_path.empty()) {
     obs_ok &= WriteFileOrComplain(
         attainment_path, "attainment report", [&](std::FILE* f) {
