@@ -33,12 +33,11 @@ int Run(int argc, char** argv) {
       static_cast<int>(args.GetInt("intervals", quick ? 10 : 30));
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   BenchReporter reporter("ablation_hints", &args);
+  TrialRunner runner(static_cast<int>(args.GetInt("threads", 0)));
   if (!args.RejectUnknownFlags()) {
     std::fprintf(stderr, "%s\n", args.error().c_str());
     return 1;
   }
-  TrialRunner runner(static_cast<int>(args.GetInt("threads", 0)));
-  runner.SetProfiler(reporter.profiler());
   reporter.AddSetup("seed", static_cast<double>(seed));
   reporter.AddSetup("intervals", intervals);
 
@@ -66,8 +65,7 @@ int Run(int argc, char** argv) {
           system->ApplyAllocation(1, i, setup.cache_bytes_per_node / 2);
         }
         system->RunIntervals(intervals);
-        reporter.AddEvents(system->simulator().events_processed(),
-                           system->simulator().Now());
+        reporter.AddEvents(system->simulator().events_processed());
 
         common::RunningStats rt_goal;
         const auto& records = system->metrics().records();
@@ -101,8 +99,7 @@ int Run(int argc, char** argv) {
     reporter.AddMetric(metric, rows[i].rt_goal);
   }
   std::fflush(stdout);
-  reporter.Finish();
-  return 0;
+  return reporter.Finish();
 }
 
 }  // namespace

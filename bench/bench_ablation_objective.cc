@@ -78,8 +78,7 @@ Outcome Run(core::PartitioningObjective objective, double goal,
 
   system->Start();
   system->RunIntervals(intervals);
-  reporter->AddEvents(system->simulator().events_processed(),
-                      system->simulator().Now());
+  reporter->AddEvents(system->simulator().events_processed());
 
   Outcome outcome;
   outcome.rt_mean = rt.mean();
@@ -109,12 +108,11 @@ int Main(int argc, char** argv) {
       static_cast<int>(args.GetInt("intervals", quick ? 20 : 60));
   const auto seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   BenchReporter reporter("ablation_objective", &args);
+  TrialRunner runner(static_cast<int>(args.GetInt("threads", 0)));
   if (!args.RejectUnknownFlags()) {
     std::fprintf(stderr, "%s\n", args.error().c_str());
     return 1;
   }
-  TrialRunner runner(static_cast<int>(args.GetInt("threads", 0)));
-  runner.SetProfiler(reporter.profiler());
   reporter.AddSetup("seed", static_cast<double>(seed));
   reporter.AddSetup("intervals", intervals);
 
@@ -155,8 +153,7 @@ int Main(int argc, char** argv) {
                        outcome.rt_spread);
   }
   std::fflush(stdout);
-  reporter.Finish();
-  return 0;
+  return reporter.Finish();
 }
 
 }  // namespace

@@ -34,12 +34,11 @@ int Run(int argc, char** argv) {
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   const double fraction = args.GetDouble("fraction", 0.5);
   BenchReporter reporter("ablation_replacement", &args);
+  TrialRunner runner(static_cast<int>(args.GetInt("threads", 0)));
   if (!args.RejectUnknownFlags()) {
     std::fprintf(stderr, "%s\n", args.error().c_str());
     return 1;
   }
-  TrialRunner runner(static_cast<int>(args.GetInt("threads", 0)));
-  runner.SetProfiler(reporter.profiler());
   reporter.AddSetup("seed", static_cast<double>(seed));
   reporter.AddSetup("intervals", intervals);
   reporter.AddSetup("fraction", fraction);
@@ -70,8 +69,7 @@ int Run(int argc, char** argv) {
           system->ApplyAllocation(1, i, bytes);
         }
         system->RunIntervals(intervals);
-        reporter.AddEvents(system->simulator().events_processed(),
-                           system->simulator().Now());
+        reporter.AddEvents(system->simulator().events_processed());
 
         common::RunningStats rt_goal, rt_nogoal;
         const auto& records = system->metrics().records();
@@ -102,8 +100,7 @@ int Run(int argc, char** argv) {
                        rows[i].rt_goal);
   }
   std::fflush(stdout);
-  reporter.Finish();
-  return 0;
+  return reporter.Finish();
 }
 
 }  // namespace

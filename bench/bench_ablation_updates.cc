@@ -31,12 +31,11 @@ int Main(int argc, char** argv) {
       static_cast<int>(args.GetInt("intervals", quick ? 16 : 40));
   const auto seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   BenchReporter reporter("ablation_updates", &args);
+  TrialRunner runner(static_cast<int>(args.GetInt("threads", 0)));
   if (!args.RejectUnknownFlags()) {
     std::fprintf(stderr, "%s\n", args.error().c_str());
     return 1;
   }
-  TrialRunner runner(static_cast<int>(args.GetInt("threads", 0)));
-  runner.SetProfiler(reporter.profiler());
   reporter.AddSetup("seed", static_cast<double>(seed));
   reporter.AddSetup("intervals", intervals);
 
@@ -95,8 +94,7 @@ int Main(int argc, char** argv) {
         system->Start();
         if (updates) updates->Start();
         system->RunIntervals(intervals);
-        reporter.AddEvents(system->simulator().events_processed(),
-                           system->simulator().Now());
+        reporter.AddEvents(system->simulator().events_processed());
 
         UpdateRow row;
         row.committed = updates ? updates->committed() : 0;
@@ -128,8 +126,7 @@ int Main(int argc, char** argv) {
     reporter.AddMetric(metric, row.rt);
   }
   std::fflush(stdout);
-  reporter.Finish();
-  return 0;
+  return reporter.Finish();
 }
 
 }  // namespace

@@ -41,12 +41,11 @@ int Run(int argc, char** argv) {
       static_cast<int>(args.GetInt("intervals", quick ? 16 : 50));
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
   BenchReporter reporter("baselines", &args);
+  TrialRunner runner(static_cast<int>(args.GetInt("threads", 0)));
   if (!args.RejectUnknownFlags()) {
     std::fprintf(stderr, "%s\n", args.error().c_str());
     return 1;
   }
-  TrialRunner runner(static_cast<int>(args.GetInt("threads", 0)));
-  runner.SetProfiler(reporter.profiler());
   reporter.AddSetup("seed", static_cast<double>(seed));
   reporter.AddSetup("intervals", intervals);
 
@@ -105,8 +104,7 @@ int Run(int argc, char** argv) {
     });
     system->Start();
     system->RunIntervals(intervals);
-    reporter.AddEvents(system->simulator().events_processed(),
-                       system->simulator().Now());
+    reporter.AddEvents(system->simulator().events_processed());
     Outcome outcome;
     outcome.first_satisfied = first_satisfied;
     outcome.satisfied_frac =
@@ -129,8 +127,7 @@ int Run(int argc, char** argv) {
                        outcomes[i].satisfied_frac);
   }
   std::fflush(stdout);
-  reporter.Finish();
-  return 0;
+  return reporter.Finish();
 }
 
 }  // namespace

@@ -180,8 +180,7 @@ int RunGray(double degrade_at, double duration, const Setup& base,
         });
         system->Start();
         system->RunIntervals(intervals);
-        reporter->AddEvents(system->simulator().events_processed(),
-                            system->simulator().Now());
+        reporter->AddEvents(system->simulator().events_processed());
 
         const auto& controller =
             dynamic_cast<const core::GoalOrientedController&>(
@@ -351,8 +350,7 @@ int RunPartition(double cut_at, const Setup& base, double goal,
         });
         system->Start();
         system->RunIntervals(intervals);
-        reporter->AddEvents(system->simulator().events_processed(),
-                            system->simulator().Now());
+        reporter->AddEvents(system->simulator().events_processed());
 
         const auto& controller =
             dynamic_cast<const core::GoalOrientedController&>(
@@ -506,8 +504,7 @@ int RunCorrupt(const Setup& base, double goal, int intervals,
         });
         system->Start();
         system->RunIntervals(intervals);
-        reporter->AddEvents(system->simulator().events_processed(),
-                            system->simulator().Now());
+        reporter->AddEvents(system->simulator().events_processed());
 
         CorruptRow row;
         row.satisfied =
@@ -655,13 +652,18 @@ int Run(int argc, char** argv) {
   const double degrade_at = args.GetDouble("degrade_at_ms", 60000.0);
   const double degrade_duration =
       args.GetDouble("degrade_duration_ms", quick ? 25000.0 : 50000.0);
-  BenchReporter reporter("faults", &args);
+  // Each mode reports under its own name, so the four smoke legs write
+  // (and are checked against) four records.
+  BenchReporter reporter(gray        ? "faults_gray"
+                         : partition ? "faults_partition"
+                         : corrupt   ? "faults_corrupt"
+                                     : "faults",
+                         &args);
+  TrialRunner runner(static_cast<int>(args.GetInt("threads", 0)));
   if (!args.RejectUnknownFlags()) {
     std::fprintf(stderr, "%s\n", args.error().c_str());
     return 1;
   }
-  TrialRunner runner(static_cast<int>(args.GetInt("threads", 0)));
-  runner.SetProfiler(reporter.profiler());
   reporter.AddSetup("seed", static_cast<double>(seed));
   reporter.AddSetup("intervals", intervals);
   reporter.AddSetup("gray", gray ? 1.0 : 0.0);
@@ -677,22 +679,16 @@ int Run(int argc, char** argv) {
               band.hi);
 
   if (gray) {
-    const int rc = RunGray(degrade_at, degrade_duration, base, goal,
-                           intervals, &runner, quick, &reporter);
-    reporter.Finish();
-    return rc;
+    return reporter.Finish(RunGray(degrade_at, degrade_duration, base, goal,
+                                   intervals, &runner, quick, &reporter));
   }
   if (partition) {
-    const int rc = RunPartition(partition_at, base, goal, intervals, &runner,
-                                quick, &reporter);
-    reporter.Finish();
-    return rc;
+    return reporter.Finish(RunPartition(partition_at, base, goal, intervals,
+                                        &runner, quick, &reporter));
   }
   if (corrupt) {
-    const int rc =
-        RunCorrupt(base, goal, intervals, &runner, quick, &reporter);
-    reporter.Finish();
-    return rc;
+    return reporter.Finish(
+        RunCorrupt(base, goal, intervals, &runner, quick, &reporter));
   }
 
   // Each outage duration is an independent trial on the runner's pool.
@@ -751,8 +747,7 @@ int Run(int argc, char** argv) {
         });
         system->Start();
         system->RunIntervals(intervals);
-        reporter.AddEvents(system->simulator().events_processed(),
-                           system->simulator().Now());
+        reporter.AddEvents(system->simulator().events_processed());
 
         const auto& controller =
             dynamic_cast<const core::GoalOrientedController&>(
@@ -814,8 +809,7 @@ int Run(int argc, char** argv) {
     ok = false;
   }
   std::fflush(stdout);
-  reporter.Finish();
-  return ok ? 0 : 1;
+  return reporter.Finish(ok ? 0 : 1);
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 // response-time goal, total dedicated cache) as CSV.
 //
 // Usage: bench_fig2_base [key=value ...] [--quick] [--threads=N]
-//                        [--profile] [--bench-json=DIR]
+//                        [--bench-json=DIR]
 //        (intervals=80 seed=1 skew=0.0 threads=0)
 
 #include <cstdio>
@@ -30,12 +30,11 @@ int Run(int argc, char** argv) {
   const int intervals =
       static_cast<int>(args.GetInt("intervals", quick ? 24 : 80));
   BenchReporter reporter("fig2_base", &args);
+  TrialRunner runner(static_cast<int>(args.GetInt("threads", 0)));
   if (!args.RejectUnknownFlags()) {
     std::fprintf(stderr, "%s\n", args.error().c_str());
     return 1;
   }
-  TrialRunner runner(static_cast<int>(args.GetInt("threads", 0)));
-  runner.SetProfiler(reporter.profiler());
   reporter.AddSetup("seed", static_cast<double>(setup.seed));
   reporter.AddSetup("skew", setup.skew);
   reporter.AddSetup("intervals", intervals);
@@ -70,15 +69,13 @@ int Run(int argc, char** argv) {
                driver.goals_completed(), driver.iterations().mean(),
                static_cast<long long>(driver.iterations().count()),
                driver.censored());
-  reporter.AddEvents(system->simulator().events_processed(),
-                     system->simulator().Now());
+  reporter.AddEvents(system->simulator().events_processed());
   reporter.AddMetric("goal_lo_ms", goal_lo);
   reporter.AddMetric("goal_hi_ms", goal_hi);
   reporter.AddMetric("goals_completed", driver.goals_completed());
   reporter.AddMetric("mean_convergence_iterations",
                      driver.iterations().mean());
-  reporter.Finish();
-  return 0;
+  return reporter.Finish();
 }
 
 }  // namespace

@@ -54,7 +54,7 @@ void PartA(const ConvergencePlan& plan, uint64_t seed0, bool quick,
                 static_cast<long long>(result.iterations.count()),
                 result.censored, paper[s]);
     std::fflush(stdout);
-    reporter->AddEvents(result.events_processed, result.sim_time_ms);
+    reporter->AddEvents(result.events_processed);
     char metric[48];
     std::snprintf(metric, sizeof(metric), "parta_iterations_skew_%.2f",
                   skews[s]);
@@ -136,8 +136,7 @@ void PartB(int intervals, uint64_t seed0, bool quick, TrialRunner* runner,
         });
         system->Start();
         system->RunIntervals(intervals);
-        reporter->AddEvents(system->simulator().events_processed(),
-                            system->simulator().Now());
+        reporter->AddEvents(system->simulator().events_processed());
         ShareRow row;
         row.dedicated_k1 = dedicated_k1.mean();
         row.dedicated_k2 = dedicated_k2.mean();
@@ -176,12 +175,11 @@ int Run(int argc, char** argv) {
   const uint64_t seed0 = static_cast<uint64_t>(args.GetInt("seed", 1));
   const std::string part = args.GetString("part", "ab");
   BenchReporter reporter("multiclass", &args);
+  TrialRunner runner(static_cast<int>(args.GetInt("threads", 0)));
   if (!args.RejectUnknownFlags()) {
     std::fprintf(stderr, "%s\n", args.error().c_str());
     return 1;
   }
-  TrialRunner runner(static_cast<int>(args.GetInt("threads", 0)));
-  runner.SetProfiler(reporter.profiler());
   reporter.AddSetup("seed", static_cast<double>(seed0));
   reporter.AddSetup("intervals", intervals);
   reporter.AddSetup("part", part);
@@ -197,8 +195,7 @@ int Run(int argc, char** argv) {
   if (part.find('b') != std::string::npos) {
     PartB(intervals / 2 * 2, seed0, quick, &runner, &reporter);
   }
-  reporter.Finish();
-  return 0;
+  return reporter.Finish();
 }
 
 }  // namespace

@@ -30,12 +30,11 @@ int Run(int argc, char** argv) {
   const int intervals =
       static_cast<int>(args.GetInt("intervals", quick ? 20 : 60));
   BenchReporter reporter("overhead_traffic", &args);
+  TrialRunner runner(static_cast<int>(args.GetInt("threads", 0)));
   if (!args.RejectUnknownFlags()) {
     std::fprintf(stderr, "%s\n", args.error().c_str());
     return 1;
   }
-  TrialRunner runner(static_cast<int>(args.GetInt("threads", 0)));
-  runner.SetProfiler(reporter.profiler());
   reporter.AddSetup("seed", static_cast<double>(setup.seed));
   reporter.AddSetup("intervals", intervals);
 
@@ -84,14 +83,12 @@ int Run(int argc, char** argv) {
               static_cast<unsigned long long>(stats.checks),
               static_cast<unsigned long long>(stats.reports_sent),
               static_cast<unsigned long long>(stats.allocation_commands));
-  reporter.AddEvents(system->simulator().events_processed(),
-                     system->simulator().Now());
+  reporter.AddEvents(system->simulator().events_processed());
   reporter.AddMetric("protocol_share_of_bytes", protocol_share);
   reporter.AddMetric("total_network_bytes",
                      static_cast<double>(total_bytes));
   reporter.AddMetric("goals_completed", driver.goals_completed());
-  reporter.Finish();
-  return 0;
+  return reporter.Finish();
 }
 
 }  // namespace

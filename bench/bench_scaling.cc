@@ -23,8 +23,8 @@
 // Usage: bench_scaling [key=value ...] [--quick] [--threads=N]
 //        (intervals=80 seed=1 part=ab threads=0)
 //
-// The default part stays "ab" so the committed BENCH_scaling.json baseline
-// keeps gating the legacy sweep; part=cl emits BENCH_scaling_cl.json.
+// The default part "ab" records BENCH_scaling.json; other parts record under
+// their own name (part=cl emits BENCH_scaling_cl.json).
 
 #include <algorithm>
 #include <chrono>
@@ -63,8 +63,7 @@ double MeasureProtocolShare(const Setup& setup, double goal_lo,
   });
   system->Start();
   system->RunIntervals(intervals);
-  reporter->AddEvents(system->simulator().events_processed(),
-                      system->simulator().Now());
+  reporter->AddEvents(system->simulator().events_processed());
   const net::Network& network = system->network();
   return static_cast<double>(
              network.bytes_sent(net::TrafficClass::kPartitionProtocol)) /
@@ -76,8 +75,7 @@ RowResult RunRow(Setup setup, const ConvergencePlan& plan, uint64_t seed0,
   RowResult row;
   setup.seed = seed0;
   row.convergence = MeasureConvergence(setup, plan, runner);
-  reporter->AddEvents(row.convergence.events_processed,
-                      row.convergence.sim_time_ms);
+  reporter->AddEvents(row.convergence.events_processed);
   Setup traffic_setup = setup;
   traffic_setup.seed = common::DeriveStreamSeed(seed0, kAuxStreamBase + 1);
   row.protocol_share =
@@ -114,12 +112,11 @@ int Main(int argc, char** argv) {
   // (and each can have its own committed baseline).
   BenchReporter reporter(
       part == "ab" ? std::string("scaling") : "scaling_" + part, &args);
+  TrialRunner runner(static_cast<int>(args.GetInt("threads", 0)));
   if (!args.RejectUnknownFlags()) {
     std::fprintf(stderr, "%s\n", args.error().c_str());
     return 1;
   }
-  TrialRunner runner(static_cast<int>(args.GetInt("threads", 0)));
-  runner.SetProfiler(reporter.profiler());
   reporter.AddSetup("seed", static_cast<double>(seed));
   reporter.AddSetup("intervals", intervals);
   reporter.AddSetup("part", part);
@@ -260,7 +257,7 @@ int Main(int argc, char** argv) {
       const std::chrono::duration<double> wall =
           std::chrono::steady_clock::now() - t0;
       const uint64_t events = system->simulator().events_processed();
-      reporter.AddEvents(events, system->simulator().Now());
+      reporter.AddEvents(events);
       const double us_per_event =
           events > 0 ? 1e6 * wall.count() / static_cast<double>(events) : 0.0;
       if (cell.nodes == 3u) ref_us_per_event = us_per_event;
@@ -330,8 +327,7 @@ int Main(int argc, char** argv) {
       reporter.AddMetric(metric, certified);
     }
   }
-  reporter.Finish();
-  return 0;
+  return reporter.Finish();
 }
 
 }  // namespace

@@ -33,12 +33,11 @@ int Run(int argc, char** argv) {
   const int max_runs = static_cast<int>(args.GetInt("max_runs", quick ? 2 : 5));
   const uint64_t seed0 = static_cast<uint64_t>(args.GetInt("seed", 1));
   BenchReporter reporter("table2_skew", &args);
+  TrialRunner runner(static_cast<int>(args.GetInt("threads", 0)));
   if (!args.RejectUnknownFlags()) {
     std::fprintf(stderr, "%s\n", args.error().c_str());
     return 1;
   }
-  TrialRunner runner(static_cast<int>(args.GetInt("threads", 0)));
-  runner.SetProfiler(reporter.profiler());
   reporter.AddSetup("seed", static_cast<double>(seed0));
   reporter.AddSetup("intervals", intervals);
   reporter.AddSetup("max_runs", max_runs);
@@ -72,13 +71,12 @@ int Run(int argc, char** argv) {
                 result.censored, result.runs_used, result.goal_lo,
                 result.goal_hi, paper[s]);
     std::fflush(stdout);
-    reporter.AddEvents(result.events_processed, result.sim_time_ms);
+    reporter.AddEvents(result.events_processed);
     char metric[32];
     std::snprintf(metric, sizeof(metric), "iterations_skew_%.2f", skews[s]);
     reporter.AddMetric(metric, result.iterations.mean());
   }
-  reporter.Finish();
-  return 0;
+  return reporter.Finish();
 }
 
 }  // namespace

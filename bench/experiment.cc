@@ -1,16 +1,12 @@
 #include "bench/experiment.h"
 
 #include <algorithm>
-#include <cinttypes>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 
 #include "baseline/static_controllers.h"
 #include "common/check.h"
-
-#ifndef MEMGOAL_GIT_DESCRIBE
-#define MEMGOAL_GIT_DESCRIBE "unknown"
-#endif
 
 namespace memgoal::bench {
 
@@ -197,7 +193,6 @@ struct TrialOutcome {
   int goals_completed = 0;
   int censored = 0;
   uint64_t events_processed = 0;
-  double sim_time_ms = 0.0;
 };
 
 }  // namespace
@@ -255,7 +250,6 @@ ConvergenceResult MeasureConvergence(const Setup& base_setup,
         outcome.goals_completed = driver.goals_completed();
         outcome.censored = driver.censored();
         outcome.events_processed = system->simulator().events_processed();
-        outcome.sim_time_ms = system->simulator().Now();
         return outcome;
       });
 
@@ -267,7 +261,6 @@ ConvergenceResult MeasureConvergence(const Setup& base_setup,
     result.goals_completed += outcome.goals_completed;
     result.censored += outcome.censored;
     result.events_processed += outcome.events_processed;
-    result.sim_time_ms += outcome.sim_time_ms;
     ++result.runs_used;
     if (result.iterations.count() >= 10 &&
         common::ConfidenceHalfWidth(result.iterations, 0.99) < 1.0) {
@@ -276,8 +269,6 @@ ConvergenceResult MeasureConvergence(const Setup& base_setup,
   }
   return result;
 }
-
-// -- Bench telemetry ---------------------------------------------------------
 
 double MinOfRepsSeconds(int reps, const std::function<void()>& fn) {
   MEMGOAL_CHECK(reps >= 1);
@@ -292,19 +283,9 @@ double MinOfRepsSeconds(int reps, const std::function<void()>& fn) {
   return best;
 }
 
-namespace {
+// -- Bench records -----------------------------------------------------------
 
-/// The calibration spin: a fixed FNV-style integer mix long enough
-/// (~tens of ms) that timer granularity is negligible but short enough to
-/// be an acceptable fixed cost per bench run.
-uint64_t CalibrationSpin() {
-  uint64_t h = 1469598103934665603ull;
-  for (uint64_t i = 0; i < 20'000'000ull; ++i) {
-    h ^= i;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+namespace {
 
 std::string JsonEscape(const std::string& s) {
   std::string out;
@@ -345,20 +326,12 @@ std::string JsonNumber(double value) {
 
 }  // namespace
 
-double CalibrateMachineSeconds() {
-  volatile uint64_t sink = 0;
-  return MinOfRepsSeconds(3, [&sink] { sink = CalibrationSpin(); });
-}
-
 BenchReporter::BenchReporter(std::string name, common::Config* args)
-    : name_(std::move(name)), start_(std::chrono::steady_clock::now()) {
+    : name_(std::move(name)) {
   MEMGOAL_CHECK(args != nullptr);
   json_dir_ = args->GetString("bench_json", ".");
   if (json_dir_ == "0" || json_dir_ == "off") json_dir_.clear();
-  profiler_.Enable(args->GetBool("profile", false));
-  threads_ = static_cast<int>(args->GetInt("threads", 0));
   quick_ = args->GetBool("quick", false);
-  if (profiler_.enabled()) install_.emplace(&profiler_);
 }
 
 BenchReporter::~BenchReporter() {
@@ -384,53 +357,22 @@ void BenchReporter::AddMetric(const std::string& name, double value) {
   metrics_.emplace_back(name, value);
 }
 
-void BenchReporter::AddEvents(uint64_t events, double sim_time_ms) {
+void BenchReporter::AddEvents(uint64_t events) {
   events_.fetch_add(events, std::memory_order_relaxed);
-  // Microsecond ticks keep the accumulator an integer (atomic<double> has
-  // no fetch_add pre-C++20-TS on every toolchain) with ample range.
-  sim_time_us_.fetch_add(static_cast<uint64_t>(sim_time_ms * 1e3),
-                         std::memory_order_relaxed);
 }
 
-void BenchReporter::Finish() {
+int BenchReporter::Finish(int rc) {
   MEMGOAL_CHECK(!finished_);
   finished_ = true;
-  const std::chrono::duration<double> elapsed =
-      std::chrono::steady_clock::now() - start_;
-  const double wall_seconds = elapsed.count();
-  install_.reset();
-
-  const uint64_t events = events_.load(std::memory_order_relaxed);
-  const double sim_ms =
-      static_cast<double>(sim_time_us_.load(std::memory_order_relaxed)) / 1e3;
-  const double events_per_second =
-      wall_seconds > 0.0 ? static_cast<double>(events) / wall_seconds : 0.0;
-  const double sim_per_wall =
-      wall_seconds > 0.0 ? sim_ms / (wall_seconds * 1e3) : 0.0;
-
-  std::fprintf(stderr,
-               "# bench %s: wall=%.3f s events=%" PRIu64
-               " events/s=%.3g sim/wall=%.3g\n",
-               name_.c_str(), wall_seconds, events, events_per_second,
-               sim_per_wall);
-
-  if (json_dir_.empty()) return;
-
-  // The calibration spin runs after the measured work so it never inflates
-  // wall_seconds.
-  const double calib_seconds = CalibrateMachineSeconds();
+  if (json_dir_.empty()) return rc;
 
   std::string json;
   json.reserve(2048);
   json += "{\n";
-  json += "  \"schema_version\": 1,\n";
+  json += "  \"schema_version\": 2,\n";
   json += "  \"bench\": \"";
   json.append(JsonEscape(name_));
-  json += "\",\n  \"git_describe\": \"";
-  json.append(JsonEscape(MEMGOAL_GIT_DESCRIBE));
-  json += "\",\n  \"threads\": ";
-  json.append(std::to_string(threads_));
-  json += ",\n  \"quick\": ";
+  json += "\",\n  \"quick\": ";
   json += quick_ ? "true" : "false";
   json += ",\n";
   json += "  \"setup\": {";
@@ -451,49 +393,26 @@ void BenchReporter::Finish() {
     json.append(JsonNumber(metrics_[i].second));
   }
   json += "},\n";
-  json += "  \"wall_seconds\": ";
-  json.append(JsonNumber(wall_seconds));
-  json += ",\n  \"calib_wall_seconds\": ";
-  json.append(JsonNumber(calib_seconds));
-  json += ",\n  \"events_processed\": ";
-  json.append(std::to_string(events));
-  json += ",\n  \"events_per_second\": ";
-  json.append(JsonNumber(events_per_second));
-  json += ",\n  \"sim_ms_per_wall_ms\": ";
-  json.append(JsonNumber(sim_per_wall));
-  json += ",\n  \"profile\": ";
-  if (profiler_.enabled()) {
-    profiler_.AppendJson(&json);
-  } else {
-    json += "null";
-  }
+  json += "  \"events_processed\": ";
+  json.append(std::to_string(events_.load(std::memory_order_relaxed)));
   json += "\n}\n";
 
-  std::string json_path = json_dir_;
-  json_path.append("/BENCH_");
-  json_path.append(name_);
-  json_path.append(".json");
-  std::FILE* out = std::fopen(json_path.c_str(), "w");
-  if (out == nullptr) {
+  std::string path = json_dir_;
+  path.append("/BENCH_");
+  path.append(name_);
+  path.append(".json");
+  std::FILE* out = std::fopen(path.c_str(), "w");
+  bool written = out != nullptr;
+  if (written) {
+    written = std::fwrite(json.data(), 1, json.size(), out) == json.size();
+    written = std::fclose(out) == 0 && written;
+  }
+  if (!written) {
     std::fprintf(stderr, "# bench %s: cannot write %s\n", name_.c_str(),
-                 json_path.c_str());
-    return;
+                 path.c_str());
+    return 1;
   }
-  std::fwrite(json.data(), 1, json.size(), out);
-  std::fclose(out);
-
-  if (profiler_.enabled()) {
-    std::string folded_path = json_dir_;
-    folded_path.append("/BENCH_");
-    folded_path.append(name_);
-    folded_path.append(".folded");
-    std::FILE* folded = std::fopen(folded_path.c_str(), "w");
-    if (folded != nullptr) {
-      profiler_.WriteFolded(folded);
-      std::fclose(folded);
-    }
-    profiler_.WriteTable(stderr, wall_seconds);
-  }
+  return rc;
 }
 
 }  // namespace memgoal::bench

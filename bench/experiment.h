@@ -2,10 +2,8 @@
 #define MEMGOAL_BENCH_EXPERIMENT_H_
 
 #include <atomic>
-#include <chrono>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,7 +14,6 @@
 #include "common/stats.h"
 #include "core/metrics.h"
 #include "core/system.h"
-#include "obs/profiler.h"
 #include "workload/spec.h"
 
 namespace memgoal::bench {
@@ -196,72 +193,54 @@ struct ConvergenceResult {
   int runs_used = 0;
   double goal_lo = 0.0;
   double goal_hi = 0.0;
-  /// Simulation volume of the *merged* trials (the ones the stopping rule
+  /// Simulated events of the *merged* trials (the ones the stopping rule
   /// admitted), summed in trial-index order: a pure function of
   /// (setup, plan) like everything else in this struct.
   uint64_t events_processed = 0;
-  double sim_time_ms = 0.0;
 };
 ConvergenceResult MeasureConvergence(const Setup& base_setup,
                                      const ConvergencePlan& plan,
                                      TrialRunner* runner = nullptr);
 
-/// Noise-robust wall estimator shared by the overhead gates and the machine
-/// calibration: runs `fn` `reps` times and keeps the fastest rep. The
-/// minimum, not the mean, because wall noise (scheduler, thermal, cache
-/// pollution) is strictly additive.
+/// Noise-robust wall estimator of the overhead gates: runs `fn` `reps`
+/// times and keeps the fastest rep. The minimum, not the mean, because wall
+/// noise (scheduler, thermal, cache pollution) is strictly additive.
 double MinOfRepsSeconds(int reps, const std::function<void()>& fn);
 
-/// Wall seconds of a fixed, deterministic integer spin workload
-/// (min-of-reps). BENCH_*.json embeds it so bench_compare can normalize
-/// wall metrics taken on machines of different speeds.
-double CalibrateMachineSeconds();
-
-/// Shared telemetry reporter for the bench binaries.
+/// Writes a bench's paper-results record, `BENCH_<name>.json`.
 ///
-/// Construction reads the shared flags from `args` and starts the run wall
-/// timer; `Finish()` stops it, writes `BENCH_<name>.json` (and a
-/// `BENCH_<name>.folded` flamegraph alongside when profiling), and prints a
-/// one-line wall/events summary to stderr. Flags:
+/// The record holds deterministic fields only — the setup, the simulation
+/// metrics and the simulated event count, all pure functions of the
+/// bench's arguments and independent of the thread count — so a record is
+/// reproducible byte for byte and the bench_smoke tests compare it with the
+/// committed copy under bench/baselines/. Host time is perfbench's to
+/// measure, not the record's. Flag:
 ///
 ///   --bench-json=<dir>  directory for BENCH_<name>.json ("." by default;
 ///                       "", "0" or "off" disables the file)
-///   --profile           enable the wall-clock phase profiler for the run
-///
-/// The reporter owns the run's `obs::Profiler` and installs it on the
-/// constructing thread; pass `profiler()` to `TrialRunner::SetProfiler` so
-/// pool trials are profiled too (merged deterministically).
 class BenchReporter {
  public:
   BenchReporter(std::string name, common::Config* args);
   ~BenchReporter();
 
-  obs::Profiler* profiler() { return &profiler_; }
-  bool profiling() const { return profiler_.enabled(); }
-
   /// Headline run parameters, echoed into the JSON "setup" object.
   void AddSetup(const std::string& key, const std::string& value);
   void AddSetup(const std::string& key, double value);
   /// Headline simulation metrics ("metrics" object). Deterministic values
-  /// only — bench_compare treats them as exact.
+  /// only: the record is checked byte for byte.
   void AddMetric(const std::string& name, double value);
-  /// Accumulates simulation volume. Thread-safe: call from trial lambdas.
-  void AddEvents(uint64_t events, double sim_time_ms);
+  /// Accumulates simulated events. Thread-safe: call from trial lambdas.
+  void AddEvents(uint64_t events);
 
-  /// Writes the report and prints the summary line. Call exactly once,
-  /// after the measured work; everything after construction counts as run
-  /// wall time.
-  void Finish();
+  /// Writes the record and returns the bench's exit code: `rc`, or 1 (with
+  /// the path named on stderr) when the record cannot be written in full.
+  /// Call exactly once, after the measured work.
+  [[nodiscard]] int Finish(int rc = 0);
 
  private:
   std::string name_;
   std::string json_dir_;
-  obs::Profiler profiler_;
-  std::optional<obs::Profiler::ScopedInstall> install_;
-  std::chrono::steady_clock::time_point start_;
   std::atomic<uint64_t> events_{0};
-  std::atomic<uint64_t> sim_time_us_{0};
-  int threads_ = 1;
   bool quick_ = false;
   bool finished_ = false;
   // Values pre-rendered as JSON (strings quoted/escaped, numbers printed).

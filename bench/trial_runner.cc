@@ -6,8 +6,6 @@
 #include <mutex>
 #include <thread>
 
-#include "common/check.h"
-
 namespace memgoal::bench {
 
 TrialRunner::TrialRunner(int threads) {
@@ -22,62 +20,36 @@ void TrialRunner::RunIndexed(int num_trials,
                              const std::function<void(int)>& body) {
   if (num_trials <= 0) return;
 
-  // When profiling, every trial gets a private profiler installed for its
-  // duration (shadowing any caller-thread installation) and slot `trial`
-  // keeps its accumulators; the fold below runs in trial-index order on
-  // the caller's thread, so the merged profile is independent of which
-  // pool thread ran which trial. Both execution paths share this wrapper
-  // to stay bit-identical.
-  const bool profiling =
-      profiler_target_ != nullptr && profiler_target_->enabled();
-  std::vector<obs::Profiler> trial_profiles(
-      profiling ? static_cast<size_t>(num_trials) : 0);
-  const auto run_one = [&](int trial) {
-    if (!profiling) {
-      body(trial);
-      return;
-    }
-    obs::Profiler& profile = trial_profiles[static_cast<size_t>(trial)];
-    profile.Enable(true);
-    obs::Profiler::ScopedInstall install(&profile);
-    body(trial);
-  };
-
   // One thread (or one trial): run inline. Bit-identical to the pooled path
   // by construction — the pooled path only changes *when* a trial executes,
   // never what it computes — and friendlier to debuggers and sanitizers.
   const int workers = std::min(threads_, num_trials);
   if (workers == 1) {
-    for (int trial = 0; trial < num_trials; ++trial) run_one(trial);
-  } else {
-    std::atomic<int> next{0};
-    std::exception_ptr first_error;
-    std::mutex error_mutex;
-    auto worker = [&] {
-      for (;;) {
-        const int trial = next.fetch_add(1, std::memory_order_relaxed);
-        if (trial >= num_trials) return;
-        try {
-          run_one(trial);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-        }
+    for (int trial = 0; trial < num_trials; ++trial) body(trial);
+    return;
+  }
+
+  std::atomic<int> next{0};
+  std::exception_ptr first_error;
+  std::mutex error_mutex;
+  auto worker = [&] {
+    for (;;) {
+      const int trial = next.fetch_add(1, std::memory_order_relaxed);
+      if (trial >= num_trials) return;
+      try {
+        body(trial);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (!first_error) first_error = std::current_exception();
       }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<size_t>(workers));
-    for (int i = 0; i < workers; ++i) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-    if (first_error) std::rethrow_exception(first_error);
-  }
-
-  if (profiling) {
-    for (const obs::Profiler& profile : trial_profiles) {
-      profiler_target_->Merge(profile);
     }
-  }
+  };
+
+  std::vector<std::thread> pool;
+  pool.reserve(static_cast<size_t>(workers));
+  for (int i = 0; i < workers; ++i) pool.emplace_back(worker);
+  for (std::thread& t : pool) t.join();
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace memgoal::bench

@@ -5,8 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/profiler.h"
-
 namespace memgoal::bench {
 
 /// Executes independent simulation trials on a pool of std::threads while
@@ -35,15 +33,6 @@ class TrialRunner {
 
   int threads() const { return threads_; }
 
-  /// Profiles every trial into `profiler` (ignored when null or disabled).
-  /// Each trial runs under its own private `obs::Profiler`, installed on
-  /// whichever thread executes it; after all trials join, the per-trial
-  /// profiles fold into `profiler` in trial-index order on the caller's
-  /// thread. Merged aggregates are therefore a pure function of the
-  /// per-trial profiles — identical for 1 or N pool threads (timings still
-  /// vary run to run; the determinism test injects exact samples).
-  void SetProfiler(obs::Profiler* profiler) { profiler_target_ = profiler; }
-
   /// Runs `fn(trial)` for every trial in [0, num_trials) and returns the
   /// results in trial order. `fn` must not touch shared mutable state; it
   /// is invoked concurrently from pool threads (or inline when the pool has
@@ -67,7 +56,6 @@ class TrialRunner {
 
  private:
   int threads_;
-  obs::Profiler* profiler_target_ = nullptr;
 };
 
 }  // namespace memgoal::bench

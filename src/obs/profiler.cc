@@ -26,9 +26,9 @@ uint64_t SteadyNowNs() {
 
 #if defined(MEMGOAL_PROFILER_TSC)
 // Nanoseconds per TSC tick, measured once at process start against
-// steady_clock over a ~200 µs window (<1% error; the bench wall gate's
-// threshold is 15%). Modern x86 TSCs are constant-rate and synchronized
-// across cores, so one scale serves every thread.
+// steady_clock over a ~200 µs window (<1% error). Modern x86 TSCs are
+// constant-rate and synchronized across cores, so one scale serves every
+// thread.
 double CalibrateNsPerTick() {
   const uint64_t t0 = SteadyNowNs();
   const uint64_t c0 = __builtin_ia32_rdtsc();
@@ -139,22 +139,6 @@ void Profiler::AddSample(Phase phase, uint64_t ns) {
   path.self_ns += ns;
 }
 
-void Profiler::Merge(const Profiler& other) {
-  MEMGOAL_DCHECK(other.stack_.empty());
-  for (int i = 0; i < kNumPhases; ++i) {
-    const PhaseStats& theirs = other.phases_[static_cast<size_t>(i)];
-    PhaseStats& ours = phases_[static_cast<size_t>(i)];
-    ours.count += theirs.count;
-    ours.total_ns += theirs.total_ns;
-    ours.max_ns = std::max(ours.max_ns, theirs.max_ns);
-  }
-  for (const auto& [encoded, theirs] : other.paths_) {
-    PathStats& ours = paths_[encoded];
-    ours.count += theirs.count;
-    ours.self_ns += theirs.self_ns;
-  }
-}
-
 uint64_t Profiler::total_count() const {
   uint64_t total = 0;
   for (const PhaseStats& stats : phases_) total += stats.count;
@@ -190,41 +174,6 @@ std::string DecodePath(uint64_t encoded) {
 }
 
 }  // namespace
-
-void Profiler::WriteTable(std::FILE* out, double run_wall_seconds) const {
-  // Sorted by inclusive total, descending; ties break on phase index so the
-  // table is deterministic.
-  std::vector<int> order;
-  for (int i = 0; i < kNumPhases; ++i) {
-    if (phases_[static_cast<size_t>(i)].count > 0) order.push_back(i);
-  }
-  std::sort(order.begin(), order.end(), [this](int a, int b) {
-    const uint64_t ta = phases_[static_cast<size_t>(a)].total_ns;
-    const uint64_t tb = phases_[static_cast<size_t>(b)].total_ns;
-    if (ta != tb) return ta > tb;
-    return a < b;
-  });
-
-  std::fprintf(out,
-               "%-22s %12s %12s %10s %10s %7s\n", "phase", "count",
-               "total_ms", "mean_us", "max_us", "pct");
-  for (int i : order) {
-    const PhaseStats& stats = phases_[static_cast<size_t>(i)];
-    const double total_ms = static_cast<double>(stats.total_ns) / 1e6;
-    const double mean_us = static_cast<double>(stats.total_ns) / 1e3 /
-                           static_cast<double>(stats.count);
-    const double max_us = static_cast<double>(stats.max_ns) / 1e3;
-    if (run_wall_seconds > 0.0) {
-      std::fprintf(out, "%-22s %12" PRIu64 " %12.3f %10.2f %10.2f %6.2f%%\n",
-                   PhaseName(static_cast<Phase>(i)), stats.count, total_ms,
-                   mean_us, max_us, 100.0 * total_ms / 1e3 / run_wall_seconds);
-    } else {
-      std::fprintf(out, "%-22s %12" PRIu64 " %12.3f %10.2f %10.2f %7s\n",
-                   PhaseName(static_cast<Phase>(i)), stats.count, total_ms,
-                   mean_us, max_us, "-");
-    }
-  }
-}
 
 void Profiler::WriteFolded(std::FILE* out) const {
   // Sort by encoded path: the hash map has no stable order, the output

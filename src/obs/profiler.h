@@ -43,10 +43,6 @@ const char* PhaseName(Phase phase);
 /// ProfileScopes form a stack, so the profiler accumulates both a flat
 /// per-phase view (count, total, max — inclusive of children) and
 /// self-time per distinct stack path for folded-stack flamegraph output.
-/// `bench::TrialRunner` gives every trial its own profiler on the worker
-/// thread and folds them into the caller's via Merge() in trial-index
-/// order, which keeps every merged aggregate a pure function of the
-/// per-trial profiles, independent of the thread count.
 class Profiler {
  public:
   struct PhaseStats {
@@ -56,8 +52,6 @@ class Profiler {
   };
 
   Profiler() = default;
-  Profiler(Profiler&&) = default;
-  Profiler& operator=(Profiler&&) = default;
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
@@ -83,13 +77,8 @@ class Profiler {
 
   /// Records one externally timed sample of `phase` (depth-1 stack path).
   /// Also the deterministic injection point for tests: samples are exact
-  /// integers, so merged output is bit-identical regardless of timing.
+  /// integers, so the output is bit-identical regardless of timing.
   void AddSample(Phase phase, uint64_t ns);
-
-  /// Folds `other`'s accumulators into this profiler. Callers merge worker
-  /// profiles in trial-index order so sums are order-deterministic.
-  /// `other` must not have open scopes.
-  void Merge(const Profiler& other);
 
   const PhaseStats& stats(Phase phase) const {
     return phases_[static_cast<size_t>(phase)];
@@ -99,18 +88,12 @@ class Profiler {
   /// Sum of depth-1 self times: wall time spent under any profiled scope.
   uint64_t profiled_ns() const;
 
-  /// Per-phase breakdown table: count, total/mean/max wall, and — when
-  /// `run_wall_seconds` > 0 — the share of that run the phase's inclusive
-  /// time represents.
-  void WriteTable(std::FILE* out, double run_wall_seconds) const;
-
   /// Folded-stack text ("memgoal;sim.step;la.simplex_solve <self_ns>"),
   /// one line per distinct stack path — feed to flamegraph.pl or speedscope.
   void WriteFolded(std::FILE* out) const;
 
-  /// JSON object {"phases":[{...}],"profiled_ms":...} embedded into
-  /// BENCH_*.json by the bench reporter. Phases with zero samples are
-  /// omitted.
+  /// JSON object {"phases":[{...}],"profiled_ms":...}, the body of
+  /// `memgoal_sim --profile-out`. Phases with zero samples are omitted.
   void AppendJson(std::string* out) const;
 
  private:
@@ -143,11 +126,11 @@ class Profiler {
   bool enabled_ = false;
   std::array<PhaseStats, kNumPhases> phases_{};
   // Hash map on the hot Pop path; exports sort by encoded path so output
-  // stays deterministic, and merged sums are exact-integer commutative.
+  // stays deterministic.
   std::unordered_map<uint64_t, PathStats> paths_;
   // One-entry memo: event loops pop the same stack path back to back, so
   // most Pops skip the hash lookup. unordered_map nodes are
-  // pointer-stable, so the cached pointer survives rehash and move.
+  // pointer-stable, so the cached pointer survives rehash.
   uint64_t memo_key_ = 0;
   PathStats* memo_ = nullptr;
   std::vector<Frame> stack_;

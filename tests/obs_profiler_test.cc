@@ -1,8 +1,7 @@
 // Pins the profiler contracts stated in src/obs/profiler.h: an uninstalled
 // or disabled profiler records nothing, scope accounting is inclusive for
-// the flat view and exclusive for folded paths, Merge is deterministic in
-// trial-index order (so TrialRunner profiles are thread-count independent),
-// and an enabled profiler never changes simulation output.
+// the flat view and exclusive for folded paths, and an enabled profiler
+// never changes simulation output.
 
 #include <cstdio>
 #include <cstdlib>
@@ -12,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "bench/experiment.h"
-#include "bench/trial_runner.h"
 #include "common/rng.h"
 #include "core/metrics.h"
 #include "core/system.h"
@@ -107,47 +105,12 @@ TEST(ProfilerTest, AddSampleIsExact) {
   EXPECT_EQ(profiler.stats(Phase::kNetSend).total_ns, 350u);
   EXPECT_EQ(profiler.stats(Phase::kNetSend).max_ns, 250u);
   EXPECT_EQ(profiler.profiled_ns(), 350u);
-}
-
-TEST(ProfilerTest, MergeSumsAllAccumulators) {
-  Profiler a;
-  a.Enable(true);
-  a.AddSample(Phase::kHeatUpdate, 10);
-  Profiler b;
-  b.Enable(true);
-  b.AddSample(Phase::kHeatUpdate, 32);
-  b.AddSample(Phase::kVictimSelect, 5);
-  a.Merge(b);
-  EXPECT_EQ(a.stats(Phase::kHeatUpdate).count, 2u);
-  EXPECT_EQ(a.stats(Phase::kHeatUpdate).total_ns, 42u);
-  EXPECT_EQ(a.stats(Phase::kHeatUpdate).max_ns, 32u);
-  EXPECT_EQ(a.stats(Phase::kVictimSelect).count, 1u);
-  EXPECT_EQ(a.total_count(), 3u);
-}
-
-// Integer samples make the merged profile a pure function of the trial set,
-// so the runner's thread count must not leak into any exported byte.
-std::string MergedProfileJson(int threads, int trials) {
-  Profiler target;
-  target.Enable(true);
-  bench::TrialRunner runner(threads);
-  runner.SetProfiler(&target);
-  runner.Run(trials, [](int trial) {
-    Profiler* profiler = Profiler::Current();
-    // The runner installs a per-trial profiler on the worker thread.
-    EXPECT_NE(profiler, nullptr);
-    const auto phase = static_cast<Phase>(trial % kNumPhases);
-    profiler->AddSample(phase, static_cast<uint64_t>(trial + 1) * 1000u);
-    return trial;
-  });
-  return JsonOf(target) + FoldedOf(target);
-}
-
-TEST(ProfilerTest, TrialRunnerMergeIsThreadCountIndependent) {
-  const std::string serial = MergedProfileJson(/*threads=*/1, /*trials=*/25);
-  const std::string pooled = MergedProfileJson(/*threads=*/4, /*trials=*/25);
-  EXPECT_EQ(serial, pooled);
-  EXPECT_NE(serial.find("cache.heat_update"), std::string::npos);
+  // Integer samples make both exports exact.
+  EXPECT_EQ(JsonOf(profiler),
+            "{\"phases\":[{\"name\":\"net.send\",\"count\":2,"
+            "\"total_ms\":0.000350,\"mean_us\":0.175,\"max_us\":0.250}],"
+            "\"profiled_ms\":0.000350}");
+  EXPECT_EQ(FoldedOf(profiler), "memgoal;net.send 350\n");
 }
 
 // Renders a small cluster run's full interval log; comparing the serialized

@@ -177,6 +177,17 @@ UniqueFile OpenOrComplain(const std::string& path, const char* what) {
   return file;
 }
 
+// Closes `file` when it is open; returns false (with a message) when any
+// write to it failed, earlier (ferror) or in the final flush (fclose).
+bool CloseOrComplain(UniqueFile& file, const std::string& path,
+                     const char* what) {
+  if (file == nullptr) return true;
+  const bool write_failed = std::ferror(file.get()) != 0;
+  if (std::fclose(file.release()) == 0 && !write_failed) return true;
+  std::fprintf(stderr, "error: cannot write %s to %s\n", what, path.c_str());
+  return false;
+}
+
 // Writes `writer(file)` to `path`; returns false (with a message) on I/O
 // failure.
 template <typename Writer>
@@ -185,7 +196,7 @@ bool WriteFileOrComplain(const std::string& path, const char* what,
   UniqueFile file = OpenOrComplain(path, what);
   if (file == nullptr) return false;
   writer(file.get());
-  return true;
+  return CloseOrComplain(file, path, what);
 }
 
 int Run(memgoal::common::Config& config) {
@@ -313,18 +324,8 @@ int Run(memgoal::common::Config& config) {
   // flushes the last ones and reports any failed write.
   g_emergency_sinks.obs_csv = nullptr;
   g_emergency_sinks.obs_jsonl = nullptr;
-  const auto close_stream = [&](UniqueFile& file, const std::string& path,
-                                const char* what) {
-    if (file == nullptr) return;
-    const bool write_failed = std::ferror(file.get()) != 0;
-    if (std::fclose(file.release()) != 0 || write_failed) {
-      std::fprintf(stderr, "error: cannot write %s to %s\n", what,
-                   path.c_str());
-      obs_ok = false;
-    }
-  };
-  close_stream(obs_csv, obs_csv_path, "metrics CSV");
-  close_stream(obs_jsonl, obs_jsonl_path, "metrics JSONL");
+  obs_ok &= CloseOrComplain(obs_csv, obs_csv_path, "metrics CSV");
+  obs_ok &= CloseOrComplain(obs_jsonl, obs_jsonl_path, "metrics JSONL");
   if (!attainment_path.empty()) {
     obs_ok &= WriteFileOrComplain(
         attainment_path, "attainment report", [&](std::FILE* f) {
